@@ -6,7 +6,8 @@ defaults (flags win).  Commands that write artifacts also write run.txt
 echoing their parameters, and all outputs are byte-deterministic given the
 same flags and seed.
 
-Exit codes: 0 success, 1 bad input or usage, 2 internal assertion failure.
+Exit codes: 0 success, 1 bad input, usage or an OS error (one `error:` line
+naming the file), 2 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -424,6 +425,10 @@ def run(argv: list[str]) -> int:
         return 1 if code != 0 else 0
     except MultiscopicError as err:
         sys.stderr.write(f"error: {err}\n")
+        return 1
+    except OSError as err:
+        where = "" if err.filename is None else f"{err.filename}: "
+        sys.stderr.write(f"error: {where}{err.strerror or err}\n")
         return 1
     except AssertionError as err:
         sys.stderr.write(f"internal error: {err}\n")

@@ -8,7 +8,7 @@ the target image hold the LARGE_COST sentinel and are excluded from WTA.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 

@@ -14,12 +14,15 @@ structural: a labeling assigns exactly one label per center pixel.
 
 Each expansion move solves one min-cut exactly.  Convention: a pixel on the
 source side of the cut keeps its label, on the sink side it switches to
-alpha.  The move graph pays theta_p(keep) on the p->t arc, theta_p(switch)
-on s->p, and encodes each pairwise table through an arc or an auxiliary
-node depending on the current labels (see _add_pair_terms).  OCCLUDED is
-never an expansion alpha: V(OCCLUDED, .) = 0 breaks the metric property the
-auxiliary gadget needs, so occlusions are introduced by a greedy per-pixel
-pass that only ever lowers the energy.
+alpha.  The move graph has one node per pixel: unary costs go on the t-links
+(keep on p->t, switch on s->p) and every pairwise table becomes unary terms
+plus one arc p->q, following Kolmogorov & Zabih, "What energy functions can
+be minimized via graph cuts?", PAMI 2004 (see expansion_move).  The cut is
+computed by the Boykov-Kolmogorov max-flow in maxflow.py (PAMI 2004).
+OCCLUDED is never an expansion alpha: with V(OCCLUDED, .) = 0 that move's
+pair terms are not submodular (the arc capacity B + C - A would be -A), so
+occlusions are introduced by a greedy per-pixel pass that only ever lowers
+the energy.
 """
 
 from __future__ import annotations
@@ -121,61 +124,6 @@ def gc_energy(
     return data + occ + smooth
 
 
-def _add_pair_terms(
-    g: FlowGraph,
-    cap_t: np.ndarray,
-    p_idx: np.ndarray,
-    q_idx: np.ndarray,
-    fp: np.ndarray,
-    fq: np.ndarray,
-    w: np.ndarray,
-    alpha: int,
-    cutoff: int,
-    next_aux: int,
-) -> int:
-    """Encode w*V pairwise tables into the move graph; returns next free node.
-
-    For each pair the binary table is A = V(fp,fq), B = V(fp,alpha),
-    C = V(alpha,fq), D = V(alpha,alpha) = 0 (all scaled by w), where bit 1
-    means "switch to alpha".  Case analysis keeps every capacity
-    non-negative without any reparameterization:
-
-    * a pixel already at alpha contributes a pure keep-cost on its partner;
-    * an OCCLUDED partner leaves a one-directional cross term (single arc);
-    * equal labels give a symmetric cut term (undirected arc);
-    * differing assigned labels need the auxiliary-node gadget, valid here
-      because V restricted to disparities is a truncated-linear metric.
-    """
-    occ_p = fp == OCCLUDED
-    occ_q = fq == OCCLUDED
-    va = np.where(occ_p | occ_q, 0.0, np.minimum(np.abs(fp - fq), cutoff)) * w
-    vb = np.where(occ_p, 0.0, np.minimum(np.abs(fp - alpha), cutoff)) * w
-    vc = np.where(occ_q, 0.0, np.minimum(np.abs(alpha - fq), cutoff)) * w
-
-    live = (va != 0.0) | (vb != 0.0) | (vc != 0.0)
-    sink = g.sink
-    for i in np.nonzero(live)[0]:
-        a, b, c = va[i], vb[i], vc[i]
-        pi, qi = int(p_idx[i]), int(q_idx[i])
-        if fp[i] == alpha:
-            cap_t[qi] += a  # E = A*(1 - x_q)
-        elif fq[i] == alpha:
-            cap_t[pi] += a  # E = A*(1 - x_p)
-        elif fp[i] == OCCLUDED:
-            g.add_edge(qi, pi, c)  # E = C * x_p * (1 - x_q)
-        elif fq[i] == OCCLUDED:
-            g.add_edge(pi, qi, b)  # E = B * (1 - x_p) * x_q
-        elif fp[i] == fq[i]:
-            g.add_edge(pi, qi, b, b)  # E = B * [x_p != x_q]
-        else:
-            aux = next_aux
-            next_aux += 1
-            g.add_edge(pi, aux, b, b)
-            g.add_edge(aux, qi, c, c)
-            g.add_edge(aux, sink, a)
-    return next_aux
-
-
 def expansion_move(
     labels: np.ndarray,
     alpha: int,
@@ -188,6 +136,18 @@ def expansion_move(
 
     Returns a new labeling attaining the minimum energy over all 2^N
     keep/switch assignments (exact via min-cut).
+
+    The graph has one node per pixel and no auxiliary nodes.  Each pair's
+    table A = w*V(fp,fq), B = w*V(fp,alpha), C = w*V(alpha,fq), D = 0 is
+    reparameterized as in Kolmogorov & Zabih, "What energy functions can be
+    minimized via graph cuts?", PAMI 2004: A joins keep(p), C joins
+    switch(p) and keep(q), and one arc p->q carries B + C - A, which the
+    triangle inequality of truncated-linear V keeps non-negative (and which
+    is C when fp or fq is OCCLUDED).  Each pixel's t-links are then netted
+    to at most one.  All of this is array arithmetic over every pair at
+    once.  The kept pixels are the source side that maxflow.max_flow
+    returns, the minimal one: of all optimal moves, this one switches every
+    pixel that any of them switches.
     """
     labels = _check_labels(labels, c_gc)
     if not c_gc.d_min <= alpha <= c_gc.d_max:
@@ -196,59 +156,45 @@ def expansion_move(
     n_px = height * width
     w_h, w_v = pair_weights(center, p) if weights is None else weights
 
-    flat = labels.ravel()
-    assigned = flat != OCCLUDED
-    yy, xx = np.divmod(np.arange(n_px), width)
-    keep = np.full(n_px, p.k_occlusion, dtype=np.float64)
-    keep[assigned] = c_gc.costs[
-        flat[assigned] - c_gc.d_min, yy[assigned], xx[assigned]
-    ].astype(np.float64)
-    switch = c_gc.costs[alpha - c_gc.d_min].astype(np.float64).ravel()
+    assigned = labels != OCCLUDED
+    yy, xx = np.nonzero(assigned)
+    keep = np.full((height, width), p.k_occlusion, dtype=np.float64)
+    keep[assigned] = c_gc.costs[labels[assigned] - c_gc.d_min, yy, xx]
+    switch = c_gc.costs[alpha - c_gc.d_min].astype(np.float64)
 
-    # Count auxiliary nodes up front to size the graph.
-    f_hp = labels[:, :-1].ravel()
-    f_hq = labels[:, 1:].ravel()
-    f_vp = labels[:-1, :].ravel()
-    f_vq = labels[1:, :].ravel()
-
-    def needs_aux(fa, fb):
-        return (
-            (fa != fb)
-            & (fa != OCCLUDED)
-            & (fb != OCCLUDED)
-            & (fa != alpha)
-            & (fb != alpha)
-        )
-
-    n_aux = int(needs_aux(f_hp, f_hq).sum() + needs_aux(f_vp, f_vq).sum())
-    source = n_px
-    sink = n_px + 1
-    g = FlowGraph(n_px + 2 + n_aux, source, sink)
-
-    cap_t = keep  # pairwise keep-costs accumulate here before t-links go in
+    source, sink = n_px, n_px + 1
+    g = FlowGraph(n_px + 2, source, sink)
     ids = np.arange(n_px).reshape(height, width)
-    next_aux = n_px + 2
-    next_aux = _add_pair_terms(
-        g, cap_t, ids[:, :-1].ravel(), ids[:, 1:].ravel(),
-        f_hp, f_hq, w_h.ravel(), alpha, p.d_cutoff, next_aux,
-    )
-    next_aux = _add_pair_terms(
-        g, cap_t, ids[:-1, :].ravel(), ids[1:, :].ravel(),
-        f_vp, f_vq, w_v.ravel(), alpha, p.d_cutoff, next_aux,
-    )
-    for i in range(n_px):
-        if switch[i] > 0.0:
-            g.add_edge(source, i, switch[i])
-        if cap_t[i] > 0.0:
-            g.add_edge(i, sink, cap_t[i])
+    for sl_p, sl_q, w in (
+        (np.s_[:, :-1], np.s_[:, 1:], w_h),
+        (np.s_[:-1, :], np.s_[1:, :], w_v),
+    ):
+        fp, fq = labels[sl_p], labels[sl_q]
+        a = _pair_smoothness(fp, fq, w, p.d_cutoff)
+        b = _pair_smoothness(fp, alpha, w, p.d_cutoff)
+        c = _pair_smoothness(alpha, fq, w, p.d_cutoff)
+        keep[sl_p] += a
+        switch[sl_p] += c
+        keep[sl_q] += c
+        cap = b + c - a
+        arc = cap > 0.0
+        g.add_edges(ids[sl_p][arc], ids[sl_q][arc], cap[arc])
+
+    # A pixel on the source side keeps its label and pays keep on p->t; on
+    # the sink side it switches and pays switch on s->p.
+    keep, switch = keep.ravel(), switch.ravel()
+    both = np.minimum(keep, switch)
+    keep -= both
+    switch -= both
+    to_switch = np.flatnonzero(switch > 0.0)
+    g.add_edges(source, to_switch, switch[to_switch])
+    to_keep = np.flatnonzero(keep > 0.0)
+    g.add_edges(to_keep, sink, keep[to_keep])
 
     _, source_side = max_flow(g)
-    keep_mask = np.zeros(n_px, dtype=bool)
-    for u in source_side:
-        if u < n_px:
-            keep_mask[u] = True
-    out = np.where(keep_mask, flat, alpha)
-    return out.reshape(height, width).astype(np.int64)
+    keep_mask = np.zeros(n_px + 2, dtype=bool)
+    keep_mask[list(source_side)] = True
+    return np.where(keep_mask[:n_px].reshape(height, width), labels, alpha)
 
 
 def occlusion_pass(

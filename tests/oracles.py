@@ -7,6 +7,7 @@ enumeration, finite differences); they share no code with the package.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -97,6 +98,45 @@ def min_cut_oracle(num_nodes, arcs, source, sink):
         cut = sum(cap for u, v, cap in arcs if side[u] == 0 and side[v] == 1)
         best = min(best, cut)
     return best
+
+
+def edmonds_karp_oracle(num_nodes, arcs, source, sink):
+    """Edmonds-Karp on a dense residual matrix; returns (flow, source side).
+
+    arcs: list of (u, v, cap, rev_cap) arcs; parallel arcs add up.  Each
+    round augments one shortest path found by BFS.  The source side is the
+    set of nodes reachable from the source in the final residual graph, the
+    unique minimal source set of a minimum cut.  Exact for capacities whose
+    sums are exact in float (e.g. small integers).
+    """
+    n = num_nodes
+    res = [[0.0] * n for _ in range(n)]
+    for u, v, cap, rev_cap in arcs:
+        res[u][v] += cap
+        res[v][u] += rev_cap
+    flow = 0.0
+    while True:
+        prev = [-1] * n
+        prev[source] = source
+        queue = deque([source])
+        while queue and prev[sink] < 0:
+            u = queue.popleft()
+            for v in range(n):
+                if prev[v] < 0 and res[u][v] > 0.0:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[sink] < 0:
+            return flow, {v for v in range(n) if prev[v] >= 0}
+        path = []
+        v = sink
+        while v != source:
+            path.append((prev[v], v))
+            v = prev[v]
+        push = min(res[u][v] for u, v in path)
+        for u, v in path:
+            res[u][v] -= push
+            res[v][u] += push
+        flow += push
 
 
 def expansion_oracle(labels, alpha, costs, d_min, k_occ, w_h, w_v, cutoff, occluded=-1):

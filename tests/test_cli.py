@@ -291,6 +291,25 @@ def test_missing_input_reports_error(capsys):
     assert "--center" in err or "--in" in err
 
 
+
+def test_eval_missing_prediction_reports_path(tmp_path, capsys):
+    data = _synth(tmp_path)
+    missing = tmp_path / "nope.pfm"
+    gt = data / "scene_0000" / "gt.pfm"
+    assert gt.exists()
+    assert run(["eval", "--pred", str(missing), "--gt", str(gt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_fuse_missing_volume_reports_path(tmp_path, capsys):
+    missing = tmp_path / "nope.mcv"
+    assert run(["fuse", "--volumes", str(missing), "--out", str(tmp_path / "f.mcv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
 # pyproject.toml of the checkout under test; its [project.scripts] table is
 # what an install turns into the `multiscopic` command.
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

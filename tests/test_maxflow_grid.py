@@ -1,0 +1,121 @@
+"""Max-flow on grid graphs against an Edmonds-Karp reference, and the array
+form of FlowGraph.add_edges."""
+
+import numpy as np
+import pytest
+
+from multiscopic import FlowGraph, InputError, max_flow
+
+from oracles import edmonds_karp_oracle
+
+
+def _grid_graph(rng, h, w):
+    """4-connected h x w grid plus source and sink: (n, s, t, arcs).
+
+    Capacities are small integers, so ties and zero capacities are common.
+    Neighbor pairs get one or two parallel arcs in either direction, half of
+    them two-way; some arcs point into the source or out of the sink.
+    """
+    s, t = h * w, h * w + 1
+    arcs = []
+
+    def cap(top=4):
+        return float(rng.integers(0, top))
+
+    for y in range(h):
+        for x in range(w):
+            p = y * w + x
+            for q in ([p + 1] if x + 1 < w else []) + ([p + w] if y + 1 < h else []):
+                for _ in range(int(rng.integers(1, 3))):
+                    u, v = (p, q) if rng.random() < 0.5 else (q, p)
+                    arcs.append((u, v, cap(), cap() if rng.random() < 0.5 else 0.0))
+            if rng.random() < 0.8:
+                arcs.append((s, p, cap(6), 0.0))
+            if rng.random() < 0.8:
+                arcs.append((p, t, cap(6), 0.0))
+            if rng.random() < 0.1:
+                arcs.append((p, s, cap(), cap()))
+            if rng.random() < 0.1:
+                arcs.append((t, p, cap(), cap()))
+    if rng.random() < 0.3:
+        arcs.append((s, t, cap(), cap()))
+    return h * w + 2, s, t, arcs
+
+
+def _solve(n, s, t, arcs):
+    g = FlowGraph(n, s, t)
+    for u, v, c, r in arcs:
+        g.add_edge(u, v, c, r)
+    return max_flow(g)
+
+
+def test_grid_matches_edmonds_karp():
+    for trial in range(60):
+        rng = np.random.default_rng(np.random.SeedSequence([4401, trial]))
+        n, s, t, arcs = _grid_graph(rng, 6, 6)
+        value, side = _solve(n, s, t, arcs)
+        want_value, want_side = edmonds_karp_oracle(n, arcs, s, t)
+        assert value == want_value, trial
+        assert side == want_side, trial
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (2, 3), (5, 4)])
+def test_grid_shapes_match_edmonds_karp(h, w):
+    for trial in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence([4402, h, w, trial]))
+        n, s, t, arcs = _grid_graph(rng, h, w)
+        value, side = _solve(n, s, t, arcs)
+        assert (value, side) == edmonds_karp_oracle(n, arcs, s, t)
+
+
+def test_add_edges_batch_equals_single_arcs():
+    rng = np.random.default_rng(4403)
+    n, s, t, arcs = _grid_graph(rng, 6, 6)
+    u, v, c, r = (np.array(col) for col in zip(*arcs))
+    g = FlowGraph(n, s, t)
+    first = g.add_edges(u[:10], v[:10], c[:10], r[:10])
+    rest = g.add_edges(u[10:], v[10:], c[10:], r[10:])
+    assert g.num_arcs() == len(arcs)
+    np.testing.assert_array_equal(np.concatenate([first, rest]), 2 * np.arange(len(arcs)))
+    assert max_flow(g) == _solve(n, s, t, arcs)
+
+
+def test_add_edges_broadcasts_scalars():
+    g = FlowGraph(5, 3, 4)
+    g.add_edges(3, np.array([0, 1, 2]), 2.0)
+    g.add_edges(np.array([0, 1, 2]), 4, np.array([1.0, 5.0, 0.0]))
+    assert g.num_arcs() == 6
+    value, side = max_flow(g)
+    assert value == 3.0
+    assert side == {0, 2, 3}  # s->1 saturates; 0 and 2 keep residual from s
+
+
+def test_max_flow_leaves_graph_unchanged():
+    rng = np.random.default_rng(4404)
+    n, s, t, arcs = _grid_graph(rng, 4, 4)
+    g = FlowGraph(n, s, t)
+    for u, v, c, r in arcs:
+        g.add_edge(u, v, c, r)
+    assert max_flow(g) == max_flow(g)
+
+
+@pytest.mark.parametrize(
+    "u, v, cap, rev_cap",
+    [
+        ([0, 1], [1, 1], [1.0, 1.0], 0.0),  # self-loop
+        ([0, 1], [1, 2], [1.0, -1.0], 0.0),  # negative capacity
+        ([0, 1], [1, 2], [1.0, 1.0], [0.0, -1.0]),  # negative reverse capacity
+        ([0, 1], [1, 2], [1.0, np.inf], 0.0),  # infinite capacity
+        ([0, 1], [1, 2], [1.0, 1.0], [np.inf, 0.0]),  # infinite reverse capacity
+        ([0, 1], [1, 2], [np.nan, 1.0], 0.0),  # NaN capacity
+        ([0, 1], [1, 5], [1.0, 1.0], 0.0),  # endpoint past the last node
+        ([0, -1], [1, 2], [1.0, 1.0], 0.0),  # negative endpoint
+        ([0, 1], [1, 2, 0], [1.0, 1.0], 0.0),  # lengths differ
+        ([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], 0.0),  # non-integer endpoints
+    ],
+)
+def test_add_edges_rejects_bad_arcs(u, v, cap, rev_cap):
+    g = FlowGraph(3, 0, 2)
+    with pytest.raises(InputError):
+        g.add_edges(np.array(u), np.array(v), np.array(cap), rev_cap)
+    assert g.num_arcs() == 0
