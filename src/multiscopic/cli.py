@@ -1,6 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, cost, fuse, disparity, gc, train, infer, eval, colorize.
+`disparity` is cost -> fuse (mean, min or heuristic) -> WTA; the fusion
+network runs only through `infer`, on weights written by `train`.
 Every hyperparameter is a flag; an optional key=value config file supplies
 defaults (flags win).  Commands that write artifacts also write run.txt
 echoing their parameters, and all outputs are byte-deterministic given the
@@ -40,10 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not a UTF-8 text file") from None
+
+
 def _read_config(path: str) -> list[str]:
     """key=value lines -> flag tokens, injected before the real argv."""
     flags = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,11 +97,9 @@ def _add_gc(p: _Parser):
 
 def _add_fusion(p: _Parser):
     p.add_argument(
-        "--fusion", choices=["mean", "min", "heuristic", "net"], default="heuristic"
+        "--fusion", choices=[s.value for s in fusion.FusionStrategy], default="heuristic"
     )
     p.add_argument("--heuristic-factor", type=float, default=3.0)
-    p.add_argument("--subpixel", type=int, choices=[0, 1], default=1)
-    p.add_argument("--weights", help="MFN1 weight file (required for --fusion net)")
 
 
 def _bm_params(args) -> costvol.BlockMatchParams:
@@ -158,16 +165,27 @@ def _add_inputs(p: _Parser):
     p.add_argument("--bottom")
 
 
-def _fused_volume(mset, args):
-    volumes = costvol.multiscopic_volumes(mset, args.matcher, _bm_params(args))
-    strategy = fusion.FusionStrategy(args.fusion)
-    return fusion.fuse(volumes, strategy, args.heuristic_factor)
+def _fuse(volumes, args):
+    return fusion.fuse(volumes, fusion.FusionStrategy(args.fusion), args.heuristic_factor)
 
 
-def _write_disparity(outdir: Path, dmap: DisparityMap, d_max: int):
+def _write_disparity(command: str, args, dmap: DisparityMap) -> int:
+    """disp.pfm, its Jet rendering and run.txt under --out."""
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_image(outdir / "disp.pfm", dmap)
-    write_image(outdir / "disp_jet.ppm", colorize_jet(dmap, float(d_max)))
+    write_image(outdir / "disp_jet.ppm", colorize_jet(dmap, float(args.d_max)))
+    _write_run_manifest(outdir, command, args)
+    print(f"wrote {outdir / 'disp.pfm'}")
+    return 0
+
+
+def _manifest(root: Path) -> list[str]:
+    """Scene directory names listed in root/manifest.txt."""
+    path = root / "manifest.txt"
+    if not path.exists():
+        raise InputError(f"{root}: no manifest.txt")
+    return _read_text(path).split()
 
 
 def _cmd_synth(args) -> int:
@@ -198,10 +216,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    volumes = [costvol.load_volume(p) for p in args.volumes]
-    if args.fusion == "net":
-        raise InputError("fuse writes a cost volume; net fusion lives in `infer`")
-    fused = fusion.fuse(volumes, fusion.FusionStrategy(args.fusion), args.heuristic_factor)
+    fused = _fuse([costvol.load_volume(p) for p in args.volumes], args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     costvol.save_volume(out, fused)
@@ -210,38 +225,20 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_disparity(args) -> int:
-    mset = _input_set(args)
-    outdir = Path(args.out)
-    if args.fusion == "net":
-        if not args.weights:
-            raise InputError("--fusion net requires --weights")
-        model = net.load_net(args.weights)
-        volumes = costvol.multiscopic_volumes(mset, args.matcher, _bm_params(args))
-        _, dmap = net.forward(model, volumes)
-    else:
-        dmap = fusion.wta_disparity(_fused_volume(mset, args), bool(args.subpixel))
-    _write_disparity(outdir, dmap, args.d_max)
-    _write_run_manifest(outdir, "disparity", args)
-    print(f"wrote {outdir / 'disp.pfm'}")
-    return 0
+    volumes = costvol.multiscopic_volumes(_input_set(args), args.matcher, _bm_params(args))
+    dmap = fusion.wta_disparity(_fuse(volumes, args), bool(args.subpixel))
+    return _write_disparity("disparity", args, dmap)
 
 
 def _cmd_gc(args) -> int:
     mset = _input_set(args)
     dmap = graphcut.multiscopic_gc(mset, _gc_params(args), args.matcher, _bm_params(args))
-    outdir = Path(args.out)
-    _write_disparity(outdir, dmap, args.d_max)
-    _write_run_manifest(outdir, "gc", args)
-    print(f"wrote {outdir / 'disp.pfm'}")
-    return 0
+    return _write_disparity("gc", args, dmap)
 
 
 def _cmd_train(args) -> int:
     root = Path(args.data)
-    manifest_path = root / "manifest.txt"
-    if not manifest_path.exists():
-        raise InputError(f"{root}: no manifest.txt")
-    scene_dirs = [root / line for line in manifest_path.read_text().split() if line]
+    scene_dirs = [root / name for name in _manifest(root)]
     bm = _bm_params(args)
     dataset = []
     for sdir in scene_dirs:
@@ -273,11 +270,7 @@ def _cmd_infer(args) -> int:
     model = net.load_net(args.weights)
     volumes = costvol.multiscopic_volumes(mset, args.matcher, _bm_params(args))
     _, dmap = net.forward(model, volumes)
-    outdir = Path(args.out)
-    _write_disparity(outdir, dmap, args.d_max)
-    _write_run_manifest(outdir, "infer", args)
-    print(f"wrote {outdir / 'disp.pfm'}")
-    return 0
+    return _write_disparity("infer", args, dmap)
 
 
 def _read_disparity(path: Path) -> DisparityMap:
@@ -294,18 +287,14 @@ def _cmd_eval(args) -> int:
     if pred_path.is_dir() != gt_path.is_dir():
         raise InputError("--pred and --gt must both be files or both directories")
     if pred_path.is_dir():
-        manifest = gt_path / "manifest.txt"
-        if not manifest.exists():
-            raise InputError(f"{gt_path}: no manifest.txt")
-        names = [line for line in manifest.read_text().split() if line]
-        pairs = []
-        for name in names:
-            pairs.append(
-                (
-                    _read_disparity(pred_path / name / "disp.pfm"),
-                    _read_disparity(gt_path / name / "gt.pfm"),
-                )
+        names = _manifest(gt_path)
+        pairs = [
+            (
+                _read_disparity(pred_path / name / "disp.pfm"),
+                _read_disparity(gt_path / name / "gt.pfm"),
             )
+            for name in names
+        ]
     else:
         names = [pred_path.stem]
         pairs = [(_read_disparity(pred_path), _read_disparity(gt_path))]
@@ -353,10 +342,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fuse", help="fuse saved cost volumes")
     _add_common(p)
     p.add_argument("--volumes", nargs="+", required=True)
-    p.add_argument(
-        "--fusion", choices=["mean", "min", "heuristic", "net"], default="heuristic"
-    )
-    p.add_argument("--heuristic-factor", type=float, default=3.0)
+    _add_fusion(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
@@ -365,6 +351,7 @@ def _build_parser() -> _Parser:
     _add_inputs(p)
     _add_bm(p)
     _add_fusion(p)
+    p.add_argument("--subpixel", type=int, choices=[0, 1], default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_disparity)
 

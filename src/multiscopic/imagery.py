@@ -13,8 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -262,6 +261,11 @@ def _read_maxval(scanner: _ByteScanner) -> int:
 
 
 def _decode_ascii_samples(scanner: _ByteScanner, count: int) -> np.ndarray:
+    # Each sample takes a digit and a separator, so the header cannot ask
+    # for more samples than the remaining bytes can hold.
+    left = len(scanner.data) - scanner.pos
+    if 2 * count - 1 > left:
+        raise FormatError(f"truncated payload: {count} samples cannot fit in {left} bytes")
     vals = np.empty(count, dtype=np.float32)
     for i in range(count):
         v = scanner.int_token("sample")
@@ -279,6 +283,11 @@ def _decode_binary_samples(scanner: _ByteScanner, count: int) -> np.ndarray:
     return np.frombuffer(raw[:count], dtype=np.uint8).astype(np.float32)
 
 
+# Netpbm magic <-> (channels, ASCII payload).
+_NETPBM_MAGIC = {(1, True): b"P2", (1, False): b"P5", (3, True): b"P3", (3, False): b"P6"}
+_NETPBM_LAYOUT = {magic: layout for layout, magic in _NETPBM_MAGIC.items()}
+
+
 def read_image(path: Union[str, Path]) -> AnyImage:
     """Decode a PGM (P2/P5), PPM (P3/P6) or single-channel PFM (Pf) file.
 
@@ -292,26 +301,16 @@ def read_image(path: Union[str, Path]) -> AnyImage:
         raise FormatError(f"{path}: too short to contain a header")
     magic = data[:2]
 
-    if magic in (b"P2", b"P5"):
+    if magic in _NETPBM_LAYOUT:
+        channels, ascii_payload = _NETPBM_LAYOUT[magic]
         scanner = _ByteScanner(data, allow_comments=True)
         scanner.token()
         width, height = _read_dims(scanner)
         _read_maxval(scanner)
-        if magic == b"P2":
-            flat = _decode_ascii_samples(scanner, width * height)
-        else:
-            flat = _decode_binary_samples(scanner, width * height)
-        return Image(flat.reshape(height, width))
-
-    if magic in (b"P3", b"P6"):
-        scanner = _ByteScanner(data, allow_comments=True)
-        scanner.token()
-        width, height = _read_dims(scanner)
-        _read_maxval(scanner)
-        if magic == b"P3":
-            flat = _decode_ascii_samples(scanner, 3 * width * height)
-        else:
-            flat = _decode_binary_samples(scanner, 3 * width * height)
+        decode = _decode_ascii_samples if ascii_payload else _decode_binary_samples
+        flat = decode(scanner, channels * width * height)
+        if channels == 1:
+            return Image(flat.reshape(height, width))
         return ColorImage(flat.reshape(height, width, 3).astype(np.uint8))
 
     if magic == b"PF":
@@ -357,22 +356,19 @@ def write_image(path: Union[str, Path], image: AnyImage, ascii_format: bool = Fa
     the nearest integer when quantizing for PGM/PPM.
     """
     path = Path(path)
-    if isinstance(image, Image):
-        payload = _quantize_255(image.pixels, "PGM")
-        header = f"{'P2' if ascii_format else 'P5'}\n{image.width} {image.height}\n255\n"
-        if ascii_format:
-            body = "\n".join(" ".join(str(v) for v in row) for row in payload) + "\n"
-            path.write_bytes(header.encode("ascii") + body.encode("ascii"))
+    if isinstance(image, (Image, ColorImage)):
+        if isinstance(image, Image):
+            channels, payload = 1, _quantize_255(image.pixels, "PGM")
         else:
-            path.write_bytes(header.encode("ascii") + payload.tobytes())
-    elif isinstance(image, ColorImage):
-        payload = image.pixels
-        header = f"{'P3' if ascii_format else 'P6'}\n{image.width} {image.height}\n255\n"
+            channels, payload = 3, image.pixels
+        magic = _NETPBM_MAGIC[channels, bool(ascii_format)].decode("ascii")
+        header = f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii")
         if ascii_format:
-            body = "\n".join(" ".join(str(v) for v in row.reshape(-1)) for row in payload) + "\n"
-            path.write_bytes(header.encode("ascii") + body.encode("ascii"))
+            rows = payload.reshape(image.height, -1)
+            body = ("\n".join(" ".join(str(v) for v in row) for row in rows) + "\n").encode("ascii")
         else:
-            path.write_bytes(header.encode("ascii") + payload.tobytes())
+            body = payload.tobytes()
+        path.write_bytes(header + body)
     elif isinstance(image, DisparityMap):
         if ascii_format:
             raise InputError("PFM has no ASCII variant")
@@ -382,13 +378,3 @@ def write_image(path: Union[str, Path], image: AnyImage, ascii_format: bool = Fa
         path.write_bytes(header.encode("ascii") + rows.tobytes())
     else:
         raise InputError(f"cannot write object of type {type(image).__name__}")
-
-
-def read_gray(path: Union[str, Path]) -> Image:
-    """Read any supported image file and coerce it to grayscale."""
-    img = read_image(path)
-    if isinstance(img, ColorImage):
-        return to_grayscale(img)
-    if isinstance(img, DisparityMap):
-        raise InputError(f"{path} holds disparity data, not an intensity image")
-    return img

@@ -433,7 +433,10 @@ def load_net(path) -> FusionNet:
     descriptors = []
     for _ in range(n_layers):
         (name_len,) = struct.unpack("<B", take(1))
-        name = take(name_len).decode("ascii")
+        try:
+            name = take(name_len).decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: layer name is not ASCII") from None
         tag, c_in, c_out, kernel, stride = struct.unpack("<BIIII", take(17))
         if tag != _TAG_CONV3D:
             raise FormatError(f"{path}: unknown layer tag {tag}")

@@ -282,6 +282,13 @@ def generate_dataset(
     return manifest
 
 
+def _read_as(path: Path, kind: type, what: str):
+    img = read_image(path)
+    if not isinstance(img, kind):
+        raise InputError(f"{path}: expected a {what}")
+    return img
+
+
 def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[DisparityMap]]:
     """Read a scene directory back into containers.
 
@@ -292,25 +299,15 @@ def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[Di
     center_path = scene_dir / "center.pgm"
     if not center_path.exists():
         raise InputError(f"{scene_dir}: no center.pgm")
-    center = read_image(center_path)
-    if not isinstance(center, Image):
-        raise InputError(f"{center_path}: expected a grayscale image")
+    center = _read_as(center_path, Image, "grayscale image")
     surround = []
     for direction in VIEW_ORDER:
-        p = scene_dir / _VIEW_FILES[direction]
-        if p.exists():
-            img = read_image(p)
-            if not isinstance(img, Image):
-                raise InputError(f"{p}: expected a grayscale image")
-            surround.append((direction, img))
+        path = scene_dir / _VIEW_FILES[direction]
+        if path.exists():
+            surround.append((direction, _read_as(path, Image, "grayscale image")))
     if not surround:
         raise InputError(f"{scene_dir}: no directional views found")
-    mset = MultiscopicSet(Image(center.pixels), surround)
+    mset = MultiscopicSet(center, surround)
     gt_path = scene_dir / "gt.pfm"
-    gt = None
-    if gt_path.exists():
-        loaded = read_image(gt_path)
-        if not isinstance(loaded, DisparityMap):
-            raise InputError(f"{gt_path}: expected a disparity map")
-        gt = loaded
+    gt = _read_as(gt_path, DisparityMap, "disparity map") if gt_path.exists() else None
     return mset, gt

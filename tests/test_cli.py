@@ -267,12 +267,21 @@ def test_missing_required_flag_exits_one(tmp_path, capsys):
     assert "--weights" in capsys.readouterr().err
 
 
-def test_fusion_net_needs_weights(tmp_path, capsys):
+def _assert_invalid_fusion_choice(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage: multiscopic ")
+    assert "--fusion" in err and "invalid choice" in err and "Traceback" not in err
+
+
+def test_disparity_refuses_net_fusion(tmp_path, capsys):
+    # the network runs only through `infer`
     data = _synth(tmp_path)
+    out = tmp_path / "n"
     code = run(["disparity", "--in", str(data / "scene_0000"), "--fusion", "net",
-                "--rho", "1", "--d-max", "3", "--out", str(tmp_path / "n")])
+                "--rho", "1", "--d-max", "3", "--out", str(out)])
     assert code == 1
-    assert "--weights" in capsys.readouterr().err
+    _assert_invalid_fusion_choice(capsys)
+    assert not out.exists()
 
 
 def test_fuse_refuses_net_strategy(tmp_path, capsys):
@@ -280,9 +289,49 @@ def test_fuse_refuses_net_strategy(tmp_path, capsys):
     costs = tmp_path / "c"
     assert run(["cost", "--in", str(data / "scene_0000"), "--rho", "1",
                 "--d-max", "3", "--out", str(costs)]) == 0
+    capsys.readouterr()
     vol = str(next(costs.glob("cost_*.mcv")))
-    assert run(["fuse", "--volumes", vol, "--fusion", "net", "--out", "x"]) == 1
-    assert "infer" in capsys.readouterr().err
+    out = tmp_path / "x.mcv"
+    assert run(["fuse", "--volumes", vol, "--fusion", "net", "--out", str(out)]) == 1
+    _assert_invalid_fusion_choice(capsys)
+    assert not out.exists()
+
+
+def _assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_config_that_is_not_text_reports_path(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"\xff\xfed_max=2\n")
+    assert run(["colorize", "--config", str(cfg), "--in", "x.pfm", "--out", "x.ppm"]) == 1
+    _assert_one_error_line(capsys, cfg)
+
+
+def test_manifest_that_is_not_text_reports_path(tmp_path, capsys):
+    data = _synth(tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_bytes(b"\xff\xfescene_0000\n")
+    assert run(["train", "--data", str(data), "--epochs", "1",
+                "--out", str(tmp_path / "w.mfn")]) == 1
+    _assert_one_error_line(capsys, manifest)
+
+
+def test_infer_non_ascii_layer_name_reports_path(tmp_path, capsys):
+    from multiscopic.net import init_network, save_net
+
+    data = _synth(tmp_path)
+    weights = tmp_path / "bad.mfn"
+    save_net(init_network(0), weights)
+    raw = bytearray(weights.read_bytes())
+    raw[14] = 0xFF  # first byte of the first layer name (13-byte header, u8 length)
+    weights.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(["infer", "--in", str(data / "scene_0000"), "--weights", str(weights),
+                "--rho", "1", "--d-max", "3", "--out", str(tmp_path / "inf")]) == 1
+    _assert_one_error_line(capsys, weights)
 
 
 def test_missing_input_reports_error(capsys):

@@ -17,7 +17,7 @@ from multiscopic import (
     multiscopic_gc,
     occlusion_pass,
 )
-from multiscopic.graphcut import pair_weights, upscale_image
+from multiscopic.graphcut import _recheck_weights, pair_weights, upscale_image
 
 from oracles import expansion_oracle
 
@@ -320,3 +320,44 @@ def test_multiscopic_gc_final_energy_beats_wta_init():
     bm = BlockMatchParams(rho=1, d_min=1, d_max=4)
     multiscopic_gc(noisy, p, matcher="bt", bm=bm, energy_trace=trace)
     assert trace[-1] <= trace[0] + 1e-9
+
+
+# ------------------------------------------------------- recheck weights
+
+
+def test_recheck_weights_all_occluded_reduce_to_center_rule():
+    # with every pixel OCCLUDED no surrounding view has a valid sample, so
+    # only the center view decides; on integer intensities the float32 and
+    # float64 differences are exact and the two rules agree bit for bit
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(2, 12, size=2))
+        theta = float(rng.integers(1, 40))
+        p = GcParams(theta=theta, lambda1=float(rng.integers(3, 9)), lambda2=2.0)
+        mset = MultiscopicSet(
+            Image(rng.integers(0, 256, (h, w)).astype(np.float32)),
+            [(dd, Image(rng.integers(0, 256, (h, w)).astype(np.float32)))
+             for dd in (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)],
+        )
+        labels = np.full((h, w), OCCLUDED, dtype=np.int64)
+        for got, want in zip(_recheck_weights(mset, labels, p), pair_weights(mset.center, p)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_multiscopic_gc_recheck_weights_deterministic_and_in_range():
+    rng = np.random.default_rng(41)
+    mset = _constant_shift_set(8, 8, 2, seed=41)
+    noisy = MultiscopicSet(
+        Image(np.clip(mset.center.pixels + rng.normal(0, 8, (8, 8)), 0, 255).astype(np.float32)),
+        mset.surround,
+    )
+    p = GcParams(upscale=2, rng_seed=4, recheck_smoothness_weights=True)
+    bm = BlockMatchParams(rho=1, d_min=1, d_max=4)
+    a = multiscopic_gc(noisy, p, matcher="bt", bm=bm)
+    b = multiscopic_gc(noisy, p, matcher="bt", bm=bm)
+    assert a.values.tobytes() == b.values.tobytes()
+    valid = a.valid_mask
+    assert valid.any()
+    assert np.isinf(a.values[~valid]).all()
+    assert (a.values[valid] >= bm.d_min).all() and (a.values[valid] <= bm.d_max).all()

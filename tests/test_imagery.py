@@ -242,6 +242,25 @@ def test_truncated_ascii_payload(tmp_path):
         read_image(str(p))
 
 
+@pytest.mark.parametrize("magic", [b"P2", b"P3"])
+def test_ascii_header_larger_than_payload_fails_fast(magic, tmp_path):
+    # 4e12 samples declared in a 23-byte file: rejected before any buffer
+    # of that size is allocated
+    p = tmp_path / "huge.pnm"
+    p.write_bytes(magic + b" 2000000 2000000 255\n")
+    assert p.stat().st_size == 23
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_image(str(p))
+
+
+def test_ascii_payload_of_minimal_length_decodes(tmp_path):
+    # one digit per sample and one byte between samples is the tightest
+    # payload the size check lets through
+    p = tmp_path / "tight.pgm"
+    p.write_bytes(b"P2 2 2 255\n1 2 3 4")
+    np.testing.assert_array_equal(read_image(str(p)).pixels, [[1, 2], [3, 4]])
+
+
 def test_pfm_zero_scale_rejected(tmp_path):
     p = tmp_path / "z.pfm"
     p.write_bytes(b"Pf\n1 1\n0.0\n" + struct.pack("<f", 1.0))

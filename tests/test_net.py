@@ -358,3 +358,14 @@ def test_load_rejects_wrong_inventory(tmp_path):
     q.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_net(str(q))
+
+
+def test_load_rejects_non_ascii_layer_name(tmp_path):
+    p = tmp_path / "n.mfn"
+    save_net(init_network(31), str(p))
+    raw = bytearray(p.read_bytes())
+    raw[14] = 0xFF  # first byte of the first layer name (13-byte header, u8 length)
+    q = tmp_path / "name.mfn"
+    q.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="name.mfn"):
+        load_net(str(q))
