@@ -108,30 +108,41 @@ def sad_cost_volume(
 ) -> CostVolume:
     """Sum of absolute differences over a (2*rho+1)^2 block.
 
-    Block coordinates clamp at image borders.  The accumulation runs in
-    row-major block order (dy outer, dx inner) in float32, so a scalar
-    oracle with the same order reproduces the result bit for bit.
+    Block coordinates clamp at image borders.  The reference is clamped and
+    padded by rho on every side once; each disparity then builds one
+    absolute-difference plane against the equally padded, shifted target,
+    and sums the (2*rho+1)^2 shifted windows of that plane.  Every cell
+    accumulates the same terms in row-major block order (dy outer, dx inner)
+    in float32, so a scalar oracle with the same order reproduces the result
+    bit for bit.
     """
     _check_pair(ref, target)
     a = ref.pixels
     b = target.pixels
     height, width = a.shape
-    ys = np.arange(height)
-    xs = np.arange(width)
+    r = p.rho
+    pw = width + 2 * r
+    ys = np.arange(-r, height + r)
+    xs = np.arange(-r, width + r)
+    a_pad = a[np.clip(ys, 0, height - 1)][:, np.clip(xs, 0, width - 1)]
     out = np.empty((p.num_disparities, height, width), dtype=np.float32)
 
     for k in range(p.num_disparities):
         d = p.d_min + k
         ox, oy = direction.offset(d)
-        acc = np.zeros((height, width), dtype=np.float32)
-        for dy in range(-p.rho, p.rho + 1):
-            ref_rows = a[np.clip(ys + dy, 0, height - 1)]
-            tgt_rows = b[np.clip(ys + dy + oy, 0, height - 1)]
-            for dx in range(-p.rho, p.rho + 1):
-                rc = np.clip(xs + dx, 0, width - 1)
-                tc = np.clip(xs + dx + ox, 0, width - 1)
-                acc += np.abs(ref_rows[:, rc] - tgt_rows[:, tc])
-        out[k] = np.where(_inbounds_mask(height, width, ox, oy), acc, LARGE_COST)
+        b_pad = b[np.clip(ys + oy, 0, height - 1)][:, np.clip(xs + ox, 0, width - 1)]
+        diff = np.abs(a_pad - b_pad).ravel()
+        # Each window is one flat run of the padded plane: cell (v, u) sits at
+        # v*pw + u and its (dy, dx) term at (v+dy)*pw + u+dx.  The run's
+        # padding columns (u >= width) are summed too and dropped below.
+        acc = np.zeros(height * pw, dtype=np.float32)
+        run = acc[: height * pw - 2 * r]
+        for dy in range(2 * r + 1):
+            for dx in range(2 * r + 1):
+                start = dy * pw + dx
+                run += diff[start : start + run.size]
+        sums = acc.reshape(height, pw)[:, :width]
+        out[k] = np.where(_inbounds_mask(height, width, ox, oy), sums, LARGE_COST)
     return CostVolume(out, p.d_min, p.d_max)
 
 

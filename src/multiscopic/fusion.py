@@ -12,6 +12,12 @@ Fusion reduces n per-view volumes to one.  All strategies operate per cell:
 Cells at the LARGE_COST sentinel simply sort last, so a view whose sample
 left the frame never wins a fused cell.
 
+Each disparity slice is fused on its own.  Its n float32 costs per cell are
+ordered by an adjacent compare-exchange network that swaps only a strictly
+smaller later value, or a non-NaN later value past a NaN: a stable
+ascending order with NaN last, the order a stable sort gives, down to the
+relative order of -0.0 and +0.0.
+
 Internals run in float64 with ascending-order summation so the pointwise
 ordering MIN <= HEURISTIC <= MEAN survives the final float32 cast (rounding
 is monotone).
@@ -34,12 +40,45 @@ class FusionStrategy(enum.Enum):
     HEURISTIC = "heuristic"
 
 
+def _order_cells(rows: np.ndarray) -> np.ndarray:
+    """Sort (n, H, W) rows ascending per cell, stable and NaN last, in place.
+
+    Odd-even transposition: n rounds of compare-exchange on adjacent rows.
+    """
+    n = rows.shape[0]
+    for rnd in range(n):
+        for i in range(rnd % 2, n - 1, 2):
+            lo, hi = rows[i], rows[i + 1]
+            # hi < lo, or lo is NaN, provided hi is not NaN
+            swap = (hi == hi) & ~(lo <= hi)
+            rows[i], rows[i + 1] = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    return rows
+
+
+def _fuse_slice(srt: np.ndarray, strategy: FusionStrategy, heuristic_factor: float):
+    """Fused float64 costs of one disparity slice from its ordered rows."""
+    n = srt.shape[0]
+    if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
+        return srt[0].astype(np.float64)
+    if strategy is FusionStrategy.MEAN:
+        total = srt[0].astype(np.float64)
+        for i in range(1, n):
+            total += srt[i]
+        return total / n
+    c1, c2, c3 = (row.astype(np.float64) for row in srt[:3])
+    pair = c1 + c2
+    triple = pair + c3
+    return np.where(c3 > heuristic_factor * c2, pair / 2.0, triple / 3.0)
+
+
 def fuse(
     volumes: list[CostVolume],
     strategy: FusionStrategy,
     heuristic_factor: float = 3.0,
 ) -> CostVolume:
     """Reduce per-view cost volumes to a single volume, cell by cell."""
+    if not isinstance(strategy, FusionStrategy):
+        raise InputError(f"unknown fusion strategy {strategy!r}")
     if not volumes:
         raise InputError("fuse needs at least one volume")
     if not heuristic_factor > 0:
@@ -48,28 +87,14 @@ def fuse(
     for v in volumes[1:]:
         if not first.same_grid(v):
             raise InputError("volumes differ in shape or disparity range")
-    n = len(volumes)
-    if n == 1:
+    if len(volumes) == 1:
         return CostVolume(first.costs.copy(), first.d_min, first.d_max)
 
-    srt = np.sort(np.stack([v.costs for v in volumes]).astype(np.float64), axis=0)
-    if strategy is FusionStrategy.MIN:
-        fused = srt[0]
-    elif strategy is FusionStrategy.MEAN:
-        total = srt[0].copy()
-        for i in range(1, n):
-            total += srt[i]
-        fused = total / n
-    elif strategy is FusionStrategy.HEURISTIC:
-        if n == 2:
-            fused = srt[0]
-        else:
-            pair = srt[0] + srt[1]
-            triple = pair + srt[2]
-            fused = np.where(srt[2] > heuristic_factor * srt[1], pair / 2.0, triple / 3.0)
-    else:
-        raise InputError(f"unknown fusion strategy {strategy!r}")
-    return CostVolume(fused.astype(np.float32), first.d_min, first.d_max)
+    fused = np.empty_like(first.costs)
+    for k in range(first.num_disparities):
+        srt = _order_cells(np.stack([v.costs[k] for v in volumes]))
+        fused[k] = _fuse_slice(srt, strategy, heuristic_factor)
+    return CostVolume(fused, first.d_min, first.d_max)
 
 
 def wta_disparity(volume: CostVolume, subpixel: bool = True) -> DisparityMap:

@@ -294,11 +294,19 @@ def read_image(path: Union[str, Path]) -> AnyImage:
     The container type follows the magic: PGM -> Image, PPM -> ColorImage,
     PFM -> DisparityMap.  PFM rows are stored bottom-to-top and are flipped
     to the package's top-down convention; the scale's sign selects
-    endianness and its magnitude is recorded on the returned map.
+    endianness and its magnitude is recorded on the returned map.  Decoding
+    errors name the file.
     """
     data = Path(path).read_bytes()
+    try:
+        return _decode_image(data)
+    except (FormatError, UnsupportedError) as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
+def _decode_image(data: bytes) -> AnyImage:
     if len(data) < 2:
-        raise FormatError(f"{path}: too short to contain a header")
+        raise FormatError("too short to contain a header")
     magic = data[:2]
 
     if magic in _NETPBM_LAYOUT:
@@ -337,7 +345,7 @@ def read_image(path: Union[str, Path]) -> AnyImage:
         # PFM stores the bottom row first.
         return DisparityMap(np.flipud(vals).astype(np.float32), pfm_scale=abs(scale))
 
-    raise FormatError(f"{path}: unknown magic {magic!r}")
+    raise FormatError(f"unknown magic {magic!r}")
 
 
 def _quantize_255(pixels: np.ndarray, what: str) -> np.ndarray:

@@ -334,6 +334,27 @@ def test_infer_non_ascii_layer_name_reports_path(tmp_path, capsys):
     _assert_one_error_line(capsys, weights)
 
 
+def test_colorize_truncated_pfm_reports_path(tmp_path, capsys):
+    pfm = tmp_path / "short.pfm"
+    pfm.write_bytes(b"Pf\n4 4\n-1.0\n\x00\x00")  # 2 of 64 payload bytes
+    out = tmp_path / "jet.ppm"
+    assert run(["colorize", "--in", str(pfm), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, pfm)
+    assert not out.exists()
+
+
+def test_disparity_truncated_center_reports_path(tmp_path, capsys):
+    data = _synth(tmp_path)
+    center = data / "scene_0000" / "center.pgm"
+    center.write_bytes(b"P5\n4 4\n255\n\x07")  # 1 of 16 payload bytes
+    capsys.readouterr()
+    out = tmp_path / "disp"
+    assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1",
+                "--d-max", "3", "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, center)
+    assert not out.exists()
+
+
 def test_missing_input_reports_error(capsys):
     assert run(["disparity", "--out", "x"]) == 1
     err = capsys.readouterr().err

@@ -96,12 +96,39 @@ def test_sad_matches_oracle_int_images(direction):
 def test_sad_bit_exact_on_float_images():
     # continuous intensities exercise the accumulation order itself
     rng = np.random.default_rng(99)
-    for _ in range(6):
-        h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        ref, tgt = _float_image(rng, h, w), _float_image(rng, h, w)
-        got = sad_cost_volume(ref, tgt, Direction.RIGHT, BlockMatchParams(rho=2, d_min=1, d_max=2))
-        want = sad_oracle(ref.pixels, tgt.pixels, "right", 2, 1, 2, exact_f32=True)
-        np.testing.assert_array_equal(got.costs, want)
+    for direction in DIRS:
+        for _ in range(6):
+            h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+            ref, tgt = _float_image(rng, h, w), _float_image(rng, h, w)
+            p = BlockMatchParams(rho=2, d_min=1, d_max=2)
+            got = sad_cost_volume(ref, tgt, direction, p)
+            want = sad_oracle(ref.pixels, tgt.pixels, direction.value, 2, 1, 2, exact_f32=True)
+            np.testing.assert_array_equal(got.costs, want)
+
+
+@pytest.mark.parametrize("direction", DIRS)
+@pytest.mark.parametrize(
+    "h, w, rho, d_max",
+    [
+        (1, 1, 0, 1),  # every slice is the sentinel
+        (1, 1, 2, 1),
+        (2, 9, 2, 3),  # shorter than the block
+        (9, 2, 2, 3),  # narrower than the block
+        (3, 4, 3, 5),  # rho = 3 on both sides; d_max >= w and >= h
+        (6, 5, 3, 7),
+    ],
+)
+def test_sad_bit_exact_on_small_and_thin_float_images(direction, h, w, rho, d_max):
+    # the padded plane is wider than the image by 2*rho on each axis, and
+    # the clamped border rows and columns repeat more than once
+    rng = np.random.default_rng(h * 1000 + w * 100 + rho * 10 + d_max)
+    ref, tgt = _float_image(rng, h, w), _float_image(rng, h, w)
+    got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=d_max))
+    want = sad_oracle(ref.pixels, tgt.pixels, direction.value, rho, 0, d_max, exact_f32=True)
+    np.testing.assert_array_equal(got.costs, want)
+    span = w if direction in (Direction.LEFT, Direction.RIGHT) else h
+    if d_max >= span:
+        assert (got.costs[span:] == LARGE_COST).all()
 
 
 def test_sad_mirror_duality():

@@ -1,5 +1,7 @@
 """Cost volume fusion strategies and winner-take-all extraction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,54 @@ def test_fusion_input_validation():
         fuse([a, c], FusionStrategy.MEAN)
     with pytest.raises(InputError):
         fuse([a, a], FusionStrategy.HEURISTIC, heuristic_factor=0.0)
+    for vols in ([a], [a, a], [a, a, a]):  # checked before any volume is read
+        with pytest.raises(InputError, match="unknown fusion strategy"):
+            fuse(vols, "mean")
+
+
+def _sort_reference(stack, strategy, factor):
+    """Fusion written as one stable sort over the whole float64 stack.
+
+    kind="stable" is needed: the default kind may dispatch to a SIMD sort
+    that reorders equal values, e.g. -0.0 and +0.0 among four or more.
+    """
+    n = stack.shape[0]
+    if n == 1:
+        return stack[0].copy()
+    srt = np.sort(stack.astype(np.float64), axis=0, kind="stable")
+    if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
+        fused = srt[0]
+    elif strategy is FusionStrategy.MEAN:
+        total = srt[0].copy()
+        for i in range(1, n):
+            total += srt[i]
+        fused = total / n
+    else:
+        pair = srt[0] + srt[1]
+        triple = pair + srt[2]
+        fused = np.where(srt[2] > factor * srt[1], pair / 2.0, triple / 3.0)
+    return fused.astype(np.float32)
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, float(LARGE_COST), 1.0, 2.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_fusion_bytes_match_stable_sort_reference(n, strategy):
+    # every ordered n-tuple of the special values, so each pair of them
+    # (+0.0 and -0.0, NaN and inf, ...) meets in both input orders; the
+    # reference's stable sort keeps equal values, and so the sign of a
+    # zero, in input order, with NaN last
+    cells = np.array(list(itertools.product(_SPECIALS, repeat=n)), dtype=np.float32).T
+    stack = np.stack([cells, cells[:, ::-1] * np.float32(3.0)], axis=1)  # (n, 2, cells)
+    stack = stack.reshape(n, 2, 1, -1)
+    with np.errstate(invalid="ignore"):
+        for factor in (3.0, 0.5):
+            got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
+            want = _sort_reference(stack, strategy, factor)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------- WTA
