@@ -198,8 +198,20 @@ def multiscopic_volumes(
     return [fn(mset.center, img, direction, p) for direction, img in mset.surround]
 
 
+def _check_costs(costs: np.ndarray, path, error: type[Exception]) -> None:
+    """The stored-cost contract: every cost is finite and >= 0.
+
+    Matchers write only such costs (the LARGE_COST sentinel is finite), and
+    fusion and WTA assume them.  min/max propagate NaN, so the check needs
+    no temporary array.
+    """
+    if costs.size and not (costs.min() >= 0 and np.isfinite(costs.max())):
+        raise error(f"{path}: costs must be finite and >= 0")
+
+
 def save_volume(path: Union[str, Path], vol: CostVolume) -> None:
     """Write the little-endian MCV1 container."""
+    _check_costs(vol.costs, path, InputError)
     header = _HEADER.pack(_MAGIC, vol.d_min, vol.d_max, vol.width, vol.height)
     Path(path).write_bytes(header + vol.costs.astype("<f4").tobytes())
 
@@ -219,4 +231,5 @@ def load_volume(path: Union[str, Path]) -> CostVolume:
     if len(payload) != 4 * count:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {4 * count}")
     costs = np.frombuffer(payload, dtype="<f4").reshape(d_max - d_min + 1, height, width)
+    _check_costs(costs, path, FormatError)
     return CostVolume(costs.astype(np.float32), d_min, d_max)

@@ -2,10 +2,14 @@
 
 Each op comes as a forward function returning (output, cache) and a matching
 backward taking (grad_out, cache).  No autodiff: net.py wires these by hand.
-All ops preserve the dtype of their inputs; reductions that feed scalar
+All ops preserve the dtype of their inputs, except that softmax_neg_forward
+returns float64 probabilities (see there); reductions that feed scalar
 losses happen in float64 at the call site.
 
-Set DEBUG_NAN = True to assert every op output is finite (slow).
+The convolution works on flat shifts: the zero-padded input is split into
+stride^3 phase grids (one for stride 1) flattened on one common layout, so
+every kernel offset is a (phase, flat offset) pair and the convolution is
+one small GEMM per offset on a strided view, with no column matrix.
 """
 
 from __future__ import annotations
@@ -14,12 +18,34 @@ import numpy as np
 
 from .errors import InputError
 
-DEBUG_NAN = False
+
+def _phase_layout(shape, k: int, stride: int, pad: int):
+    """Geometry shared by conv3d_forward and conv3d_backward.
+
+    Returns the output size (d_out, h_out, w_out), the phase grid size
+    (dq, hq, wq), the length of the flat output run (first to last output
+    cell) and, per kernel offset in (dz, dy, dx) order, its phase index and
+    flat offset into a flattened phase grid.
+    """
+    _, d, h, wd = shape
+    s = stride
+    d_out, h_out, w_out = ((n + 2 * pad - k) // s + 1 for n in (d, h, wd))
+    dq, hq, wq = (-(-(n + 2 * pad) // s) for n in (d, h, wd))
+    span = ((d_out - 1) * hq + h_out - 1) * wq + w_out
+    taps = [
+        ((dz % s * s + dy % s) * s + dx % s, (dz // s * hq + dy // s) * wq + dx // s)
+        for dz in range(k)
+        for dy in range(k)
+        for dx in range(k)
+    ]
+    return (d_out, h_out, w_out), (dq, hq, wq), span, taps
 
 
-def _check_finite(name: str, arr: np.ndarray):
-    if DEBUG_NAN and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{name} produced non-finite values")
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.  np.matmul runs an inner dimension of 1 (an outer product) in a
+    plain C loop several times slower than BLAS; the broadcast product is
+    the same result there."""
+    return a * b if a.shape[1] == 1 else a @ b
 
 
 def conv3d_forward(
@@ -27,61 +53,70 @@ def conv3d_forward(
 ):
     """3-D convolution, kernel (C_out, C_in, k, k, k), zero padding.
 
-    Internally im2col: patches are gathered into a (C_in*k^3, N) matrix so
-    the convolution is one GEMM.  The column matrix is kept in the cache for
-    the weight gradient.
+    The padded input is split into stride^3 phases, phase (pz, py, px)
+    holding the samples at (stride*i + pz, stride*j + py, stride*l + px);
+    each phase is flattened on the same (dq, hq, wq) grid.  Output cell
+    (i, j, l) sits at flat index (i*hq + j)*wq + l, and kernel offset
+    (dz, dy, dx) reads its phase at that index plus one fixed flat offset.
+    So the output is the sum of k^3 GEMMs W_o @ phase[:, off_o : off_o + span],
+    accumulated in one flat run whose wrap-around columns are cropped at the
+    end.  The cache keeps the phases (about the size of the padded input)
+    for the backward.
     """
     c_in, d, h, wd = x.shape
     c_out, c_in2, k, k2, k3 = w.shape
     if c_in != c_in2 or not (k == k2 == k3):
         raise InputError(f"kernel {w.shape} does not fit input {x.shape}")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    d_out = (d + 2 * pad - k) // stride + 1
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (wd + 2 * pad - k) // stride + 1
-
-    cols = np.empty((c_in, k, k, k, d_out, h_out, w_out), dtype=x.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                cols[:, dz, dy, dx] = xp[
-                    :,
-                    dz : dz + stride * d_out : stride,
-                    dy : dy + stride * h_out : stride,
-                    dx : dx + stride * w_out : stride,
-                ]
-    cols = cols.reshape(c_in * k * k * k, d_out * h_out * w_out)
-    out = (w.reshape(c_out, -1) @ cols).reshape(c_out, d_out, h_out, w_out)
-    out += b[:, None, None, None]
-    _check_finite("conv3d", out)
-    cache = (x.shape, w, stride, pad, cols)
+    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x.shape, k, stride, pad)
+    s = stride
+    xq = np.zeros((c_in, s * dq, s * hq, s * wq), dtype=x.dtype)
+    xq[:, pad : pad + d, pad : pad + h, pad : pad + wd] = x
+    phases = (
+        xq.reshape(c_in, dq, s, hq, s, wq, s)
+        .transpose(2, 4, 6, 0, 1, 3, 5)
+        .reshape(s**3, c_in, dq * hq * wq)
+    )
+    w_taps = w.transpose(2, 3, 4, 0, 1).reshape(k**3, c_out, c_in)
+    acc = np.zeros((c_out, d_out * hq * wq), dtype=np.result_type(x, w))
+    run = acc[:, :span]
+    for w_o, (p, off) in zip(w_taps, taps):
+        run += _gemm(w_o, phases[p, :, off : off + span])
+    out = acc.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] + b[:, None, None, None]
+    cache = (x.shape, w, stride, pad, phases)
     return out, cache
 
 
 def conv3d_backward(grad_out: np.ndarray, cache):
-    """Returns (dx, dw, db) for conv3d_forward."""
-    x_shape, w, stride, pad, cols = cache
+    """Returns (dx, dw, db) for conv3d_forward, in grad_out's dtype.
+
+    The mirror of the forward on the same flat layout: grad_out is spread
+    onto the output run (zeros in the cropped columns), then per kernel
+    offset dW_o = g @ view_o.T and dphase[view_o] += W_o.T @ g.
+    """
+    x_shape, w, stride, pad, phases = cache
     c_in, d, h, wd = x_shape
-    c_out = grad_out.shape[0]
-    k = w.shape[2]
-    d_out, h_out, w_out = grad_out.shape[1:]
+    c_out, _, k = w.shape[:3]
+    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x_shape, k, stride, pad)
+    s = stride
+    g_flat = np.zeros((c_out, d_out * hq * wq), dtype=grad_out.dtype)
+    g_flat.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] = grad_out
+    g = g_flat[:, :span]
+    db = grad_out.reshape(c_out, -1).sum(axis=1)
 
-    g = grad_out.reshape(c_out, -1)
-    db = g.sum(axis=1)
-    dw = (g @ cols.T).reshape(w.shape)
-    dcols = (w.reshape(c_out, -1).T @ g).reshape(c_in, k, k, k, d_out, h_out, w_out)
+    w_taps = w.transpose(2, 3, 4, 0, 1).reshape(k**3, c_out, c_in)
+    dw_taps = np.empty(w_taps.shape, dtype=grad_out.dtype)
+    dphases = np.zeros(phases.shape, dtype=grad_out.dtype)
+    for o, (p, off) in enumerate(taps):
+        dw_taps[o] = _gemm(g, phases[p, :, off : off + span].T)
+        dphases[p, :, off : off + span] += _gemm(w_taps[o].T, g)
+    dw = dw_taps.reshape(k, k, k, c_out, c_in).transpose(3, 4, 0, 1, 2).copy()
 
-    dxp = np.zeros((c_in, d + 2 * pad, h + 2 * pad, wd + 2 * pad), dtype=grad_out.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                dxp[
-                    :,
-                    dz : dz + stride * d_out : stride,
-                    dy : dy + stride * h_out : stride,
-                    dx : dx + stride * w_out : stride,
-                ] += dcols[:, dz, dy, dx]
-    dx = dxp[:, pad : pad + d, pad : pad + h, pad : pad + wd]
+    dxq = (
+        dphases.reshape(s, s, s, c_in, dq, hq, wq)
+        .transpose(3, 4, 0, 5, 1, 6, 2)
+        .reshape(c_in, s * dq, s * hq, s * wq)
+    )
+    dx = dxq[:, pad : pad + d, pad : pad + h, pad : pad + wd]
     return dx, dw, db
 
 
@@ -140,7 +175,6 @@ def softmax_neg_forward(scores: np.ndarray):
     z = z - z.max(axis=0, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=0, keepdims=True)
-    _check_finite("softmax", p)
     return p, p
 
 
@@ -149,4 +183,4 @@ def softmax_neg_backward(grad_p: np.ndarray, cache):
     g = grad_p.astype(np.float64)
     inner = (g * p).sum(axis=0, keepdims=True)
     # d/dscores = -dsoftmax: scores enter negated.
-    return -(p * (g - inner))
+    return (-(p * (g - inner))).astype(grad_p.dtype)

@@ -11,8 +11,10 @@ Architecture (all kernels 3x3x3, padding 1, ReLU on hidden layers):
 * linear head conv(8->1) producing a D x H x W score volume.
 
 Scores are negated and softmaxed along D (low cost -> high probability);
-the disparity estimate is the probability-weighted mean of d_min..d_max.
-A zero-initialized head therefore starts from the uniform prior.
+the disparity estimate is the probability-weighted mean of d_min..d_max,
+the soft-argmin of Kendall et al., "End-to-End Learning of Geometry and
+Context for Deep Stereo Regression" (GC-Net, ICCV 2017).  A
+zero-initialized head therefore starts from the uniform prior.
 
 Total parameter budget: 10,309 floats.
 
@@ -391,8 +393,25 @@ def train(
 _NORM_CODES = {name: i for i, name in enumerate(NORM_MODES)}
 
 
+def _non_finite_parameter(params: list[tuple[str, np.ndarray]]) -> str | None:
+    """Name of the first parameter holding NaN or +-inf, if any."""
+    for name, arr in params:
+        if not np.isfinite(arr).all():
+            return name
+    return None
+
+
 def save_net(net: FusionNet, path) -> None:
-    """Versioned little-endian weight file; parameters stored as float32."""
+    """Versioned little-endian weight file; parameters stored as float32.
+
+    Refuses a net whose stored weights would not be finite: it could only
+    infer NaN.
+    """
+    with np.errstate(over="ignore"):
+        stored = [(name, arr.astype("<f4")) for name, arr in net.parameters()]
+    bad = _non_finite_parameter(stored)
+    if bad is not None:
+        raise InputError(f"{path}: parameter {bad} is not finite")
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<IBI", _VERSION, _NORM_CODES[net.norm_mode], len(LAYER_SPECS))
@@ -400,8 +419,8 @@ def save_net(net: FusionNet, path) -> None:
         enc = name.encode("ascii")
         blob += struct.pack("<B", len(enc)) + enc
         blob += struct.pack("<BIIII", _TAG_CONV3D, c_in, c_out, KERNEL, stride)
-    for _, arr in net.parameters():
-        blob += arr.astype("<f4").tobytes()
+    for _, arr in stored:
+        blob += arr.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -459,4 +478,8 @@ def load_net(path) -> FusionNet:
         )
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
-    return FusionNet(convs, NORM_MODES[norm_code])
+    model = FusionNet(convs, NORM_MODES[norm_code])
+    bad = _non_finite_parameter(model.parameters())
+    if bad is not None:
+        raise FormatError(f"{path}: parameter {bad} is not finite")
+    return model

@@ -2,8 +2,10 @@
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +334,48 @@ def test_infer_non_ascii_layer_name_reports_path(tmp_path, capsys):
     assert run(["infer", "--in", str(data / "scene_0000"), "--weights", str(weights),
                 "--rho", "1", "--d-max", "3", "--out", str(tmp_path / "inf")]) == 1
     _assert_one_error_line(capsys, weights)
+
+
+def test_infer_non_finite_weights_reports_path(tmp_path, capsys):
+    from multiscopic.net import init_network, save_net
+
+    data = _synth(tmp_path)
+    weights = tmp_path / "nan.mfn"
+    save_net(init_network(0), weights)
+    raw = bytearray(weights.read_bytes())
+    raw[-4:] = np.array(np.nan, dtype="<f4").tobytes()  # head.b[0], the last weight
+    weights.write_bytes(bytes(raw))
+    capsys.readouterr()
+    out = tmp_path / "inf"
+    assert run(["infer", "--in", str(data / "scene_0000"), "--weights", str(weights),
+                "--rho", "1", "--d-max", "3", "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, weights)
+    assert not (out / "disp.pfm").exists()
+
+
+def _write_mcv(path, fill):
+    """An MCV1 file of 2 x 3 x 4 costs, all `fill`, bypassing save_volume."""
+    header = struct.pack("<4siiii", b"MCV1", 1, 2, 4, 3)
+    path.write_bytes(header + np.full((2, 3, 4), fill, dtype="<f4").tobytes())
+
+
+@pytest.mark.parametrize(
+    "fills, fusion",
+    [((np.nan,), "heuristic"), ((np.inf, -np.inf), "mean")],
+    ids=["nan-heuristic", "inf-pair-mean"],
+)
+def test_fuse_non_finite_volume_reports_path(tmp_path, capsys, fills, fusion):
+    paths = [tmp_path / f"v{i}.mcv" for i in range(len(fills))]
+    for path, fill in zip(paths, fills):
+        _write_mcv(path, fill)
+    out = tmp_path / "fused.mcv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["fuse", "--volumes", *map(str, paths), "--fusion", fusion,
+                    "--out", str(out)])
+    assert code == 1
+    _assert_one_error_line(capsys, paths[0])
+    assert not out.exists()
 
 
 def test_colorize_truncated_pfm_reports_path(tmp_path, capsys):

@@ -261,6 +261,25 @@ def test_mcv_header_layout(tmp_path):
     assert len(raw) == 4 + 16 + 1 * 2 * 3 * 4
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf, -np.inf])
+def test_mcv_cost_contract(tmp_path, bad):
+    costs = np.ones((2, 2, 3), dtype=np.float32)
+    costs[1, 0, 2] = bad
+    vol = CostVolume(costs, d_min=1, d_max=2)
+    p = tmp_path / "bad.mcv"
+    with pytest.raises(InputError, match="bad.mcv"):
+        save_volume(str(p), vol)
+    assert not p.exists()
+    # Bytes written past the writer's check are refused by the reader too.
+    costs[1, 0, 2] = 1.0
+    save_volume(str(p), CostVolume(costs, d_min=1, d_max=2))
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = np.array(bad, dtype="<f4").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="bad.mcv"):
+        load_volume(str(p))
+
+
 def test_mcv_rejects_corruption(tmp_path):
     vol = CostVolume(np.zeros((2, 2, 2), dtype=np.float32), d_min=1, d_max=2)
     p = tmp_path / "v.mcv"

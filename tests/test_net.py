@@ -22,8 +22,14 @@ from multiscopic import (
     train,
 )
 from multiscopic.layers import (
+    concat_backward,
+    concat_forward,
     conv3d_backward,
     conv3d_forward,
+    relu_backward,
+    relu_forward,
+    softmax_neg_backward,
+    softmax_neg_forward,
     upsample_nearest_backward,
     upsample_nearest_forward,
 )
@@ -55,38 +61,80 @@ def _sample(seed=0, n=2, d=4, h=6, w=6):
 # ------------------------------------------------------------------- layers
 
 
+# (input shape (C_in, D, H, W), stride): one channel on a cube, then several
+# channels on odd and unequal D/H/W, each at stride 1 and 2.
+_CONV_CASES = [
+    ((1, 3, 3, 3), 1),
+    ((1, 3, 3, 3), 2),
+    ((2, 4, 5, 4), 1),
+    ((2, 4, 5, 4), 2),
+    ((2, 5, 4, 3), 1),
+    ((2, 5, 4, 3), 2),
+    ((3, 7, 9, 11), 1),
+    ((3, 7, 9, 11), 2),
+]
+
+
 def test_conv3d_matches_scalar_oracle():
+    # float32 sums 27 * C_in products of unit-scale values: its error is a
+    # few ulps of the largest partial sum, far inside 1e-5.
     rng = np.random.default_rng(1)
-    for stride in (1, 2):
-        x = rng.standard_normal((2, 4, 5, 4)).astype(np.float64)
-        w = rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float64)
-        b = rng.standard_normal(3).astype(np.float64)
-        got, _ = conv3d_forward(x, w, b, stride=stride, pad=1)
-        want = conv3d_oracle(x, w, b, stride=stride, pad=1)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-5)):
+        for shape, stride in _CONV_CASES:
+            x = rng.standard_normal(shape).astype(dtype)
+            w = rng.standard_normal((3, shape[0], 3, 3, 3)).astype(dtype)
+            b = rng.standard_normal(3).astype(dtype)
+            got, _ = conv3d_forward(x, w, b, stride=stride, pad=1)
+            want = conv3d_oracle(x, w, b, stride=stride, pad=1)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 def test_conv3d_backward_finite_difference():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((1, 3, 3, 3))
-    w = rng.standard_normal((2, 1, 3, 3, 3))
-    b = rng.standard_normal(2)
-    out, cache = conv3d_forward(x, w, b)
-    gout = rng.standard_normal(out.shape)
-    dx, dw, db = conv3d_backward(gout, cache)
     eps = 1e-6
-    for arr, grad in ((x, dx), (w, dw), (b, db)):
-        flat = arr.reshape(-1)
-        idx = rng.integers(0, flat.size, size=5)
-        for i in idx:
-            old = flat[i]
-            flat[i] = old + eps
-            up = float((conv3d_forward(x, w, b)[0] * gout).sum())
-            flat[i] = old - eps
-            dn = float((conv3d_forward(x, w, b)[0] * gout).sum())
-            flat[i] = old
-            num = (up - dn) / (2 * eps)
-            assert grad.reshape(-1)[i] == pytest.approx(num, rel=1e-5, abs=1e-7)
+    for shape, stride in _CONV_CASES:
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((2, shape[0], 3, 3, 3))
+        b = rng.standard_normal(2)
+        out, cache = conv3d_forward(x, w, b, stride=stride)
+        gout = rng.standard_normal(out.shape)
+        dx, dw, db = conv3d_backward(gout, cache)
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        for arr, grad in ((x, dx), (w, dw), (b, db)):
+            flat = arr.reshape(-1)
+            idx = rng.integers(0, flat.size, size=5)
+            for i in idx:
+                old = flat[i]
+                flat[i] = old + eps
+                up = float((conv3d_forward(x, w, b, stride=stride)[0] * gout).sum())
+                flat[i] = old - eps
+                dn = float((conv3d_forward(x, w, b, stride=stride)[0] * gout).sum())
+                flat[i] = old
+                num = (up - dn) / (2 * eps)
+                assert grad.reshape(-1)[i] == pytest.approx(num, rel=1e-5, abs=1e-7)
+
+
+def test_layer_ops_keep_float32():
+    rng = np.random.default_rng(5)
+    f32 = np.float32
+    x = rng.standard_normal((2, 5, 4, 3)).astype(f32)
+    for stride in (1, 2):
+        w = rng.standard_normal((3, 2, 3, 3, 3)).astype(f32)
+        out, cache = conv3d_forward(x, w, np.zeros(3, f32), stride=stride)
+        assert out.dtype == f32
+        assert all(g.dtype == f32 for g in conv3d_backward(np.ones_like(out), cache))
+    out, mask = relu_forward(x)
+    assert out.dtype == f32 and relu_backward(out, mask).dtype == f32
+    out, cache = upsample_nearest_forward(x, (9, 8, 6))
+    assert out.dtype == f32 and upsample_nearest_backward(out, cache).dtype == f32
+    out, cache = concat_forward([x, x])
+    assert out.dtype == f32 and all(g.dtype == f32 for g in concat_backward(out, cache))
+    # The probabilities are float64 by design (float32 exp underflows);
+    # the gradient returns to the scores' dtype.
+    p, cache = softmax_neg_forward(x[0])
+    assert p.dtype == np.float64
+    assert softmax_neg_backward(p.astype(f32), cache).dtype == f32
 
 
 def test_upsample_nearest_shapes_and_adjoint():
@@ -243,6 +291,18 @@ def test_grad_check_float32_loose():
     assert err < 1e-3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_gradients_keep_net_dtype(dtype):
+    net = init_network(12, dtype=dtype)
+    rng = np.random.default_rng(120)
+    head = net.convs["head"].w
+    head += (rng.standard_normal(head.shape) * 0.05).astype(dtype)
+    vols, gt, mask = _sample(seed=121, n=2, d=4, h=5, w=7)
+    _, grads = backward(net, vols, gt, mask)
+    assert sorted(grads) == sorted(name for name, _ in net.parameters())
+    assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.dtype(dtype))
+
+
 def test_dead_relu_units_have_zero_weight_gradient():
     net = init_network(16, dtype=np.float64)
     # the head starts at zero, which blocks gradients below it; unblock it
@@ -357,6 +417,24 @@ def test_load_rejects_wrong_inventory(tmp_path):
     q = tmp_path / "tampered.mfn"
     q.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
+        load_net(str(q))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weights_must_be_finite(tmp_path, bad):
+    p = tmp_path / "n.mfn"
+    for dtype, value in ((np.float32, bad), (np.float64, bad), (np.float64, 1e39)):
+        net = init_network(32, dtype=dtype)
+        net.convs["mid"].w[0, 0, 1, 1, 1] = value  # 1e39 overflows float32
+        with pytest.raises(InputError, match="n.mfn.*mid.w"):
+            save_net(net, str(p))
+        assert not p.exists()
+    save_net(init_network(32), str(p))
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = np.array(bad, dtype="<f4").tobytes()  # head.b[0], the last weight
+    q = tmp_path / "nan.mfn"
+    q.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="nan.mfn.*head.b"):
         load_net(str(q))
 
 
