@@ -27,6 +27,7 @@ the energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,10 @@ class GcParams:
     recheck_smoothness_weights: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.k_occlusion) and self.k_occlusion >= 0):
+            raise InputError(f"k_occlusion must be finite and >= 0, got {self.k_occlusion}")
+        if not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)):
+            raise InputError("lambda1 and lambda2 must be finite")
         if not self.lambda1 >= self.lambda2 >= 0:
             raise InputError("need lambda1 >= lambda2 >= 0")
         if not self.theta > 0:
@@ -210,31 +215,45 @@ def occlusion_pass(
     K - c_gc(p, f_p) - sum of its current smoothness terms < 0.  Neighbors
     already flipped earlier in the scan are seen as OCCLUDED.  Returns the
     new labeling and the number of flips.
+
+    A flip only drops terms >= 0 from its neighbors' sums, so a pixel that
+    would not flip with all of its input neighbors still assigned never
+    flips.  That test runs on every pixel at once, adding the terms in the
+    scalar order (left, right, up, down) so its floats are the scan's; the
+    raster scan then visits only the pixels that pass it.
     """
     labels = _check_labels(labels, c_gc)
     height, width = labels.shape
     w_h, w_v = pair_weights(center, p) if weights is None else weights
     out = labels.copy()
     costs = c_gc.costs
+    s_h = _pair_smoothness(labels[:, :-1], labels[:, 1:], w_h, p.d_cutoff)
+    s_v = _pair_smoothness(labels[:-1, :], labels[1:, :], w_v, p.d_cutoff)
+    all_smooth = np.zeros((height, width))
+    all_smooth[:, 1:] += s_h
+    all_smooth[:, :-1] += s_h
+    all_smooth[1:, :] += s_v
+    all_smooth[:-1, :] += s_v
+    assigned = labels != OCCLUDED
+    yy, xx = np.nonzero(assigned)
+    own_cost = costs[labels[assigned] - c_gc.d_min, yy, xx].astype(np.float64)
+    rest = np.full((height, width), np.inf)  # K - c_gc(p, f_p); inf where OCCLUDED
+    rest[assigned] = p.k_occlusion - own_cost
     flips = 0
-    for y in range(height):
-        for x in range(width):
-            f = out[y, x]
-            if f == OCCLUDED:
-                continue
-            smooth = 0.0
-            if x > 0 and out[y, x - 1] != OCCLUDED:
-                smooth += w_h[y, x - 1] * min(abs(f - out[y, x - 1]), p.d_cutoff)
-            if x + 1 < width and out[y, x + 1] != OCCLUDED:
-                smooth += w_h[y, x] * min(abs(f - out[y, x + 1]), p.d_cutoff)
-            if y > 0 and out[y - 1, x] != OCCLUDED:
-                smooth += w_v[y - 1, x] * min(abs(f - out[y - 1, x]), p.d_cutoff)
-            if y + 1 < height and out[y + 1, x] != OCCLUDED:
-                smooth += w_v[y, x] * min(abs(f - out[y + 1, x]), p.d_cutoff)
-            gain = p.k_occlusion - float(costs[f - c_gc.d_min, y, x]) - smooth
-            if gain < -_IMPROVE_EPS:
-                out[y, x] = OCCLUDED
-                flips += 1
+    for y, x in zip(*np.nonzero(rest - all_smooth < -_IMPROVE_EPS)):
+        f = out[y, x]
+        smooth = 0.0
+        if x > 0 and out[y, x - 1] != OCCLUDED:
+            smooth += w_h[y, x - 1] * min(abs(f - out[y, x - 1]), p.d_cutoff)
+        if x + 1 < width and out[y, x + 1] != OCCLUDED:
+            smooth += w_h[y, x] * min(abs(f - out[y, x + 1]), p.d_cutoff)
+        if y > 0 and out[y - 1, x] != OCCLUDED:
+            smooth += w_v[y - 1, x] * min(abs(f - out[y - 1, x]), p.d_cutoff)
+        if y + 1 < height and out[y + 1, x] != OCCLUDED:
+            smooth += w_v[y, x] * min(abs(f - out[y + 1, x]), p.d_cutoff)
+        if p.k_occlusion - float(costs[f - c_gc.d_min, y, x]) - smooth < -_IMPROVE_EPS:
+            out[y, x] = OCCLUDED
+            flips += 1
     return out, flips
 
 
@@ -306,6 +325,11 @@ def multiscopic_gc(
     if the recomputed energy strictly drops, so the energy trace (initial
     energy, then one entry after every move and occlusion pass) is
     non-increasing.
+
+    A move is a deterministic function of the labels and the pair weights,
+    so an alpha whose move was rejected is not solved again until an
+    accepted move, an occlusion pass with flips or a weight recheck has
+    changed one of them; its trace entry is still written.
     """
     p = p or GcParams()
     bm = bm or BlockMatchParams()
@@ -331,25 +355,33 @@ def multiscopic_gc(
 
     rng = np.random.default_rng(p.rng_seed)
     all_alphas = np.arange(bm_up.d_min, bm_up.d_max + 1)
+    version = 0  # bumped whenever labels or weights change
+    rejected_at: dict[int, int] = {}  # alpha -> version its move was rejected at
     for _ in range(p.max_sweeps):
         changed = False
-        for alpha in rng.permutation(all_alphas):
-            cand = expansion_move(labels, int(alpha), c_gc, up_center, p, weights)
-            cand_energy = gc_energy(cand, c_gc, up_center, p, weights)
-            if cand_energy < energy - _IMPROVE_EPS:
-                labels = cand
-                energy = cand_energy
-                changed = True
+        for alpha in rng.permutation(all_alphas).tolist():
+            if rejected_at.get(alpha) != version:
+                cand = expansion_move(labels, alpha, c_gc, up_center, p, weights)
+                cand_energy = gc_energy(cand, c_gc, up_center, p, weights)
+                if cand_energy < energy - _IMPROVE_EPS:
+                    labels = cand
+                    energy = cand_energy
+                    changed = True
+                    version += 1
+                else:
+                    rejected_at[alpha] = version
             if energy_trace is not None:
                 energy_trace.append(energy)
         labels, flips = occlusion_pass(labels, c_gc, up_center, p, weights)
         if flips:
             changed = True
+            version += 1
             energy = gc_energy(labels, c_gc, up_center, p, weights)
         if energy_trace is not None:
             energy_trace.append(energy)
         if p.recheck_smoothness_weights:
             weights = _recheck_weights(up_set, labels, p)
+            version += 1
             energy = gc_energy(labels, c_gc, up_center, p, weights)
         if not changed:
             break

@@ -11,7 +11,16 @@ Arcs are stored as twinned pairs: arc i and its reverse i^1 live at adjacent
 indices.  max_flow folds the arcs at the terminals into one residual
 terminal capacity per node and runs on a CSR layout of the other arcs,
 stable-sorted by tail so each node scans its arcs in insertion order.
-Graph preparation is NumPy; the search runs over Python lists.
+
+Graph preparation is NumPy; the search runs over Python lists.  Before it,
+array rounds push flow straight along every arc from a node with source
+excess to a node with sink excess, each round on a conflict-free subset
+(one arc per tail, then per head).  On expansion graphs that leaves fewer
+paths for the search.  Every node still holding terminal excess is a root
+of its tree, but only the roots with a residual arc leaving their own tree
+start active.  The returned source side does not depend on the order in
+which flow was pushed: it is the set of nodes the source reaches in the
+residual graph of any maximum flow.
 """
 
 from __future__ import annotations
@@ -130,29 +139,58 @@ def max_flow(g: FlowGraph) -> tuple[float, set[int]]:
     first = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=first[1:])
 
-    roots = np.flatnonzero(np.abs(tr) > _EPS)
+    tail, head, rcap, sister = tail[order], head[order], cap[order], pos[order ^ 1]
+
+    # Pre-push: every arc from a node with source excess to one with sink
+    # excess carries min(rcap, tr[u], -tr[v]) at once.  A round takes the
+    # first such arc of each tail (rows are contiguous), then the first of
+    # each head, so no node and no arc pair is touched twice.
+    while True:
+        a = np.flatnonzero((rcap > _EPS) & (tr[tail] > _EPS) & (tr[head] < -_EPS))
+        if not a.size:
+            break
+        a = a[np.r_[True, tail[a[1:]] != tail[a[:-1]]]]
+        a = a[np.unique(head[a], return_index=True)[1]]
+        u, v = tail[a], head[a]
+        push = np.minimum(np.minimum(rcap[a], tr[u]), -tr[v])
+        rcap[a] -= push
+        rcap[sister[a]] += push
+        tr[u] -= push
+        tr[v] += push
+        flow += float(push.sum())
+
+    # Every node with terminal excess is a tree root, but only one with a
+    # residual arc leaving its own tree can grow, so only those start active.
+    is_src, is_snk = tr > _EPS, tr < -_EPS
+    grows = (is_src[tail] & ~is_src[head] & (rcap > _EPS)) | (
+        is_snk[tail] & ~is_snk[head] & (rcap[sister] > _EPS)
+    )
+    start = np.zeros(n, dtype=bool)
+    start[tail[grows]] = True
     flow, in_source_tree = _boykov_kolmogorov(
         flow,
         first.tolist(),
-        head[order].tolist(),
-        cap[order].tolist(),
-        pos[order ^ 1].tolist(),
+        head.tolist(),
+        rcap.tolist(),
+        sister.tolist(),
         tr.tolist(),
-        roots.tolist(),
+        np.flatnonzero(is_src | is_snk).tolist(),
+        np.flatnonzero(start).tolist(),
     )
     side = set(np.flatnonzero(in_source_tree).tolist())
     side.add(s)
     return flow, side
 
 
-def _boykov_kolmogorov(flow, first, head, rcap, sister, tr, roots):
+def _boykov_kolmogorov(flow, first, head, rcap, sister, tr, roots, start):
     """Augment to a maximum flow; returns (flow, source-tree mask).
 
     CSR arc a runs from its row node to head[a] with residual rcap[a];
     sister[a] is its reverse.  tr[i] is node i's residual terminal
     capacity.  parent[i] is the arc from i to its tree parent, i.e. the
-    reverse of a source-tree arc and the sink-tree arc itself.  All lists
-    are updated in place.
+    reverse of a source-tree arc and the sink-tree arc itself.  Every node
+    in roots is a tree root; those in start are the initially active ones.
+    All lists are updated in place.
     """
     eps = _EPS
     n = len(tr)
@@ -161,11 +199,12 @@ def _boykov_kolmogorov(flow, first, head, rcap, sister, tr, roots):
     stamp = [0] * n  # time at which dist[i] was last known to be exact
     dist = [0] * n  # tree depth of i (roots are 1)
     active = [False] * n
-    queue = deque(roots)
+    queue = deque(start)
     for i in roots:
         parent[i] = _TERMINAL
         in_sink[i] = tr[i] < 0.0
         dist[i] = 1
+    for i in start:
         active[i] = True
     orphans: deque[int] = deque()
     time = 0

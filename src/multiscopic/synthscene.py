@@ -11,6 +11,7 @@ hidden in every surrounding view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -209,6 +210,13 @@ class DatasetRanges:
     flat_patches: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
+        if not all(math.isfinite(s) and s >= 0 for s in self.noise_sigma):
+            raise InputError(f"noise sigma range {self.noise_sigma} must be finite and >= 0")
+        for name in ("layer_count", "disparity", "rect_frac", "noise_sigma", "base_cell",
+                     "flat_patches"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise InputError(f"{name} range ({lo}, {hi}) needs min <= max")
         if self.layer_count[0] < 1:
             raise InputError("need at least one layer")
         if self.disparity[0] < 0:

@@ -212,3 +212,33 @@ def heuristic_oracle(costs, factor=3.0):
     if c3 > factor * c2:
         return (c1 + c2) / 2.0
     return (c1 + c2 + c3) / 3.0
+
+
+def occlusion_oracle(labels, costs, d_min, k_occ, w_h, w_v, cutoff, eps, occluded=-1):
+    """Greedy raster scan over every pixel, flipping to occluded whenever
+    k_occ - cost - (smoothness to the current assigned neighbors) < -eps.
+
+    Neighbors flipped earlier in the scan count as occluded.  The terms are
+    added left, right, up, down.  Returns (new labels, number of flips).
+    """
+    out = np.array(labels, dtype=np.int64)
+    h, w = out.shape
+    flips = 0
+    for y in range(h):
+        for x in range(w):
+            f = out[y, x]
+            if f == occluded:
+                continue
+            smooth = 0.0
+            for (ny, nx), wt in (
+                ((y, x - 1), w_h[y, x - 1] if x > 0 else None),
+                ((y, x + 1), w_h[y, x] if x + 1 < w else None),
+                ((y - 1, x), w_v[y - 1, x] if y > 0 else None),
+                ((y + 1, x), w_v[y, x] if y + 1 < h else None),
+            ):
+                if wt is not None and out[ny, nx] != occluded:
+                    smooth += wt * min(abs(f - out[ny, nx]), cutoff)
+            if k_occ - float(costs[f - d_min, y, x]) - smooth < -eps:
+                out[y, x] = occluded
+                flips += 1
+    return out, flips

@@ -399,6 +399,59 @@ def test_disparity_truncated_center_reports_path(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_plain_error(capsys, what):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and what in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, what",
+    [
+        (["--disp-min", "3", "--disp-max", "2"], "disparity"),
+        (["--layers-min", "3", "--layers-max", "1"], "layer_count"),
+        (["--noise-min", "5", "--noise-max", "1"], "noise"),
+        (["--noise-min", "nan", "--noise-max", "nan"], "noise"),
+        (["--noise-min", "0", "--noise-max", "inf"], "noise"),
+        (["--noise-min", "-1", "--noise-max", "1"], "noise"),
+    ],
+    ids=["disparity", "layers", "noise", "noise-nan", "noise-inf", "noise-negative"],
+)
+def test_synth_rejects_bad_range(tmp_path, capsys, flags, what):
+    out = tmp_path / "data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["synth", "--scenes", "1", "--out", str(out), "--width", "16",
+                    "--height", "16", *flags])
+    assert code == 1
+    _assert_plain_error(capsys, what)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, what",
+    [
+        (["--k-occlusion", "nan"], "k_occlusion"),
+        (["--k-occlusion", "-5"], "k_occlusion"),
+        (["--k-occlusion", "inf"], "k_occlusion"),
+        (["--lambda1", "inf", "--lambda2", "inf"], "lambda"),
+        (["--lambda1", "9", "--lambda2", "nan"], "lambda"),
+    ],
+    ids=["k-nan", "k-negative", "k-inf", "lambdas-inf", "lambda2-nan"],
+)
+def test_gc_rejects_bad_energy_weight(tmp_path, capsys, flags, what):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "gc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["gc", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+                    "--upscale", "1", "--out", str(out), *flags])
+    assert code == 1
+    _assert_plain_error(capsys, what)
+    assert not (out / "disp.pfm").exists()
+
+
 def test_missing_input_reports_error(capsys):
     assert run(["disparity", "--out", "x"]) == 1
     err = capsys.readouterr().err

@@ -6,6 +6,13 @@ change when the expansion graph or the max-flow solver is rebuilt.  The
 digest was recorded from the Dinic solver with the auxiliary-node graph
 construction; a different digest means some labeling changed, which is a
 rounding or solver fault to investigate, not a digest to update.
+
+The two further digests were recorded before multiscopic_gc learned to skip
+a move already rejected on the same labels.  One rechecks the pair weights
+between sweeps (a scene whose output differs from the fixed-weight run, so a
+skip that outlived a weight change would show), the other runs without
+upscaling.  Both also pin the length of the energy trace, which gets one
+entry per move whether the move was solved or skipped.
 """
 
 import hashlib
@@ -13,18 +20,37 @@ import hashlib
 from multiscopic import BlockMatchParams, GcParams, multiscopic_gc
 from multiscopic.synthscene import SceneLayer, SceneSpec, generate_scene
 
+SPEC = SceneSpec(20, 20, [SceneLayer(1), SceneLayer(4, (5, 4, 9, 8))], noise_sigma=3.0)
+BM = BlockMatchParams(rho=1, d_min=1, d_max=5)
 DIGEST = "a508f0f2283ae4a636e7b0922aa64d2e95ec568e38ff2df393b164208bf8ac0e"
 
 
 def test_default_gc_output_digest():
     # two layers and photometric noise; the default upscale=2 gives 40x40
     # with 9 labels, and the output has occluded (invalid) pixels
-    spec = SceneSpec(20, 20, [SceneLayer(1), SceneLayer(4, (5, 4, 9, 8))], noise_sigma=3.0)
-    mset, _ = generate_scene(spec, seed=2024)
+    mset, _ = generate_scene(SPEC, seed=2024)
     trace = []
-    disp = multiscopic_gc(
-        mset, GcParams(), bm=BlockMatchParams(rho=1, d_min=1, d_max=5), energy_trace=trace
-    )
+    disp = multiscopic_gc(mset, GcParams(), bm=BM, energy_trace=trace)
     assert not disp.valid_mask.all()
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
     assert hashlib.sha256(disp.values.tobytes()).hexdigest() == DIGEST
+
+
+def _run(seed, **params):
+    mset, _ = generate_scene(SPEC, seed=seed)
+    trace = []
+    disp = multiscopic_gc(mset, GcParams(**params), bm=BM, energy_trace=trace)
+    return hashlib.sha256(disp.values.tobytes()).hexdigest(), len(trace)
+
+
+def test_recheck_weights_gc_output_digest():
+    # 8 sweeps of 9 moves; the weights change after every sweep
+    digest, n_trace = _run(2029, recheck_smoothness_weights=True)
+    assert n_trace == 81
+    assert digest == "26d6a7ae7fc805dc88a2fa7f727b2306cf1396ae105ceb573da5001173d6aac7"
+
+
+def test_no_upscale_gc_output_digest():
+    digest, n_trace = _run(2024, upscale=1)
+    assert n_trace == 19
+    assert digest == "2cf8076a2768b4f3902af33fb80f00504d79871235ed81ce7cad092c89b974cb"

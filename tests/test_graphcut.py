@@ -17,9 +17,11 @@ from multiscopic import (
     multiscopic_gc,
     occlusion_pass,
 )
-from multiscopic.graphcut import _recheck_weights, pair_weights, upscale_image
+from multiscopic import graphcut
+from multiscopic.graphcut import _IMPROVE_EPS, _recheck_weights, pair_weights, upscale_image
+from multiscopic.synthscene import SceneLayer, SceneSpec, generate_scene
 
-from oracles import expansion_oracle
+from oracles import expansion_oracle, occlusion_oracle
 
 RNG = np.random.default_rng(77)
 
@@ -75,6 +77,23 @@ def test_energy_validates_labels():
         gc_energy(np.array([[1, 1]]), _vol(costs), _flat_center(2, 2), p)
     with pytest.raises(InputError):
         gc_energy(np.full((2, 2), 9), _vol(costs), _flat_center(2, 2), p)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"k_occlusion": float("nan")},
+        {"k_occlusion": -5.0},
+        {"k_occlusion": float("inf")},
+        {"lambda1": float("inf"), "lambda2": float("inf")},
+        {"lambda1": float("inf")},
+        {"lambda2": float("nan")},
+        {"lambda1": 2.0, "lambda2": 3.0},
+    ],
+)
+def test_gc_params_rejects_bad_energy_weights(params):
+    with pytest.raises(InputError, match="k_occlusion|lambda"):
+        GcParams(**params)
 
 
 def test_pair_weights_shapes():
@@ -212,6 +231,55 @@ def test_occlusion_pass_never_increases_energy():
         assert gc_energy(out, vol, center, p) <= gc_energy(labels, vol, center, p) + 1e-9
 
 
+def test_occlusion_pass_matches_full_scan_oracle():
+    # random labelings with OCCLUDED pixels, lambda1 and lambda2 pairs from a
+    # random center (or explicit random weights), and integer costs, so that
+    # many pixels sit exactly at gain 0 and, with K shifted by the acceptance
+    # margin, at gain -_IMPROVE_EPS
+    n_flips = n_ties = 0
+    for trial in range(60):
+        rng = np.random.default_rng(np.random.SeedSequence([3100, trial]))
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        n_d = int(rng.integers(1, 5))
+        costs = rng.integers(0, 12, size=(n_d, h, w)).astype(np.float32)
+        vol = _vol(costs, d_min=2)
+        labels = rng.integers(2, 2 + n_d, size=(h, w))
+        labels[rng.random((h, w)) < rng.uniform(0.0, 0.5)] = OCCLUDED
+        k = float(rng.integers(0, 16)) - (_IMPROVE_EPS if trial % 3 == 0 else 0.0)
+        p = GcParams(k_occlusion=k, lambda1=float(rng.integers(1, 4)),
+                     lambda2=float(rng.integers(0, 2)), theta=40.0,
+                     d_cutoff=int(rng.integers(1, 4)))
+        center = Image(rng.integers(0, 120, size=(h, w)).astype(np.float32))
+        weights = pair_weights(center, p)
+        if trial % 2:
+            weights = (rng.integers(0, 4, size=(h, w - 1)).astype(np.float64),
+                       rng.integers(0, 4, size=(h - 1, w)).astype(np.float64))
+        out, flips = occlusion_pass(labels, vol, center, p, weights if trial % 2 else None)
+        want, want_flips = occlusion_oracle(
+            labels, costs, 2, k, *weights, p.d_cutoff, _IMPROVE_EPS, OCCLUDED
+        )
+        np.testing.assert_array_equal(out, want, err_msg=str(trial))
+        assert flips == want_flips, trial
+        n_flips += flips
+        n_ties += _boundary_pixels(labels, costs, 2, k, weights, p.d_cutoff)
+    assert n_flips > 50 and n_ties > 20
+
+
+def _boundary_pixels(labels, costs, d_min, k, weights, cutoff):
+    """Assigned pixels whose gain on the input labeling is 0 or -_IMPROVE_EPS."""
+    h, w = labels.shape
+    pad = np.pad(labels, 1, constant_values=OCCLUDED)
+    wts = np.pad(weights[0], ((0, 0), (1, 1))), np.pad(weights[1], ((1, 1), (0, 0)))
+    smooth = np.zeros((h, w))
+    for nb, wt in ((pad[1:-1, :-2], wts[0][:, :-1]), (pad[1:-1, 2:], wts[0][:, 1:]),
+                   (pad[:-2, 1:-1], wts[1][:-1]), (pad[2:, 1:-1], wts[1][1:])):
+        smooth += np.where(nb != OCCLUDED, wt * np.minimum(np.abs(labels - nb), cutoff), 0.0)
+    yy, xx = np.mgrid[0:h, 0:w]
+    gain = k - costs[np.clip(labels - d_min, 0, None), yy, xx] - smooth
+    tie = (gain == 0.0) | (np.abs(gain + _IMPROVE_EPS) < 1e-12)
+    return int((tie & (labels != OCCLUDED)).sum())
+
+
 # ------------------------------------------------------------------ upscale
 
 
@@ -320,6 +388,56 @@ def test_multiscopic_gc_final_energy_beats_wta_init():
     bm = BlockMatchParams(rho=1, d_min=1, d_max=4)
     multiscopic_gc(noisy, p, matcher="bt", bm=bm, energy_trace=trace)
     assert trace[-1] <= trace[0] + 1e-9
+
+
+def _moves_with_none_skipped(labels, c_gc, center, p, weights):
+    """(alpha, labels) of every move multiscopic_gc's fixed-weight sweeps
+    would solve if no move were ever skipped."""
+    keys = []
+    energy = gc_energy(labels, c_gc, center, p, weights)
+    rng = np.random.default_rng(p.rng_seed)
+    for _ in range(p.max_sweeps):
+        changed = False
+        for alpha in rng.permutation(np.arange(c_gc.d_min, c_gc.d_max + 1)).tolist():
+            keys.append((alpha, labels.tobytes()))
+            cand = expansion_move(labels, alpha, c_gc, center, p, weights)
+            cand_energy = gc_energy(cand, c_gc, center, p, weights)
+            if cand_energy < energy - _IMPROVE_EPS:
+                labels, energy, changed = cand, cand_energy, True
+        labels, flips = occlusion_pass(labels, c_gc, center, p, weights)
+        if flips:
+            changed = True
+            energy = gc_energy(labels, c_gc, center, p, weights)
+        if not changed:
+            break
+    return keys
+
+
+def test_multiscopic_gc_skips_only_moves_already_rejected(monkeypatch):
+    # every move whose labels changed since it was last rejected is solved,
+    # and none is solved twice on the same labels
+    calls = []
+    solve = graphcut.expansion_move
+
+    def spy(labels, alpha, c_gc, center, p, weights):
+        calls.append((alpha, labels.tobytes(), (labels, c_gc, center, p, weights)))
+        return solve(labels, alpha, c_gc, center, p, weights)
+
+    monkeypatch.setattr(graphcut, "expansion_move", spy)
+    spec = SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))], noise_sigma=4.0)
+    skipped = 0
+    for seed in range(6):
+        mset, _ = generate_scene(spec, seed=700 + seed)
+        calls.clear()
+        multiscopic_gc(mset, GcParams(rng_seed=seed), bm=BlockMatchParams(rho=1, d_min=1, d_max=4))
+        got = [(alpha, key) for alpha, key, _ in calls]
+        with monkeypatch.context() as m:
+            m.setattr(graphcut, "expansion_move", solve)
+            want = _moves_with_none_skipped(*calls[0][2])
+        assert len(set(got)) == len(got), seed
+        assert set(got) == set(want), seed
+        skipped += len(want) - len(got)
+    assert skipped > 0
 
 
 # ------------------------------------------------------- recheck weights

@@ -42,6 +42,50 @@ def _grid_graph(rng, h, w):
     return h * w + 2, s, t, arcs
 
 
+def _pre_push_graphs(rng):
+    """Graphs whose terminal excesses meet across inner arcs, so max_flow's
+    array pre-push does much of the work: (n, s, t, arcs) each.
+
+    * a fan-in: many nodes with source excess, each with an arc into one
+      node with sink excess, plus arcs between the excess nodes;
+    * the reverse fan-out from one source-excess node;
+    * a grid of pairs u->v whose arc is smaller than both excesses, which
+      leaves excess on both sides, so the search has to route the rest
+      through the neighbors.
+    """
+    graphs = []
+    for fan_in in (True, False):
+        k = int(rng.integers(3, 12))
+        hub, s, t = k, k + 1, k + 2
+        big, small = float(rng.integers(1, 4 * k)), float(rng.integers(0, 3))
+        if fan_in:
+            arcs = [(hub, t, big, 0.0), (s, hub, small, 0.0)]
+        else:
+            arcs = [(s, hub, big, 0.0), (hub, t, small, 0.0)]
+        for i in range(k):
+            c, r = float(rng.integers(1, 5)), float(rng.integers(0, 3))
+            excess = float(rng.integers(1, 6))
+            if fan_in:
+                arcs += [(s, i, excess, 0.0), (i, hub, c, r)]
+            else:
+                arcs += [(i, t, excess, 0.0), (hub, i, c, r)]
+            if i and rng.random() < 0.5:
+                arcs.append((i - 1, i, float(rng.integers(0, 3)), float(rng.integers(0, 3))))
+        graphs.append((k + 3, s, t, arcs))
+    h, w = 4, 6
+    s, t = h * w, h * w + 1
+    arcs = []
+    for y in range(h):
+        for x in range(w):
+            p = y * w + x
+            excess = float(rng.integers(3, 8))
+            arcs.append((s, p, excess, 0.0) if (x + y) % 2 == 0 else (p, t, excess, 0.0))
+            for q in ([p + 1] if x + 1 < w else []) + ([p + w] if y + 1 < h else []):
+                arcs.append((p, q, float(rng.integers(0, 3)), float(rng.integers(0, 3))))
+    graphs.append((h * w + 2, s, t, arcs))
+    return graphs
+
+
 def _solve(n, s, t, arcs):
     g = FlowGraph(n, s, t)
     for u, v, c, r in arcs:
@@ -52,11 +96,12 @@ def _solve(n, s, t, arcs):
 def test_grid_matches_edmonds_karp():
     for trial in range(60):
         rng = np.random.default_rng(np.random.SeedSequence([4401, trial]))
-        n, s, t, arcs = _grid_graph(rng, 6, 6)
-        value, side = _solve(n, s, t, arcs)
-        want_value, want_side = edmonds_karp_oracle(n, arcs, s, t)
-        assert value == want_value, trial
-        assert side == want_side, trial
+        graphs = [_grid_graph(rng, 6, 6)] + _pre_push_graphs(rng)
+        for case, (n, s, t, arcs) in enumerate(graphs):
+            value, side = _solve(n, s, t, arcs)
+            want_value, want_side = edmonds_karp_oracle(n, arcs, s, t)
+            assert value == want_value, (trial, case)
+            assert side == want_side, (trial, case)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (2, 3), (5, 4)])

@@ -175,6 +175,26 @@ def _small_ranges():
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("layer_count", (3, 1)),
+        ("disparity", (3, 2)),
+        ("rect_frac", (0.6, 0.2)),
+        ("noise_sigma", (5.0, 1.0)),
+        ("noise_sigma", (float("nan"), float("nan"))),
+        ("noise_sigma", (0.0, float("inf"))),
+        ("noise_sigma", (-1.0, 1.0)),
+        ("base_cell", (6, 4)),
+        ("flat_patches", (1, 0)),
+    ],
+)
+def test_dataset_ranges_validation(field, value):
+    # an inverted or non-finite range would otherwise reach numpy.random
+    with pytest.raises(InputError, match=field.split("_")[0]):
+        DatasetRanges(**{field: value})
+
+
 def test_sample_spec_within_ranges():
     rng = np.random.default_rng(11)
     for _ in range(20):
