@@ -36,7 +36,7 @@ from .costvol import BlockMatchParams, CostVolume, multiscopic_volumes
 from .errors import InputError
 from .fusion import FusionStrategy, fuse, wta_disparity
 from .imagery import INVALID_DISPARITY, Direction, Image, MultiscopicSet, DisparityMap
-from .maxflow import FlowGraph, max_flow
+from .maxflow import ArcLayout, FlowState, LayoutGraph, max_flow
 
 OCCLUDED = -1
 
@@ -129,6 +129,27 @@ def gc_energy(
     return data + occ + smooth
 
 
+class MoveReuse:
+    """What the expansion moves on one labeling grid keep between solves.
+
+    All their graphs share one ArcLayout, built here once: every
+    4-neighbor pair with row-major pixel ids, the horizontal pairs
+    (x,y)-(x+1,y) first, then the vertical (x,y)-(x,y+1).  states[alpha] is
+    the FlowState that alpha's last solve left; the next solve of alpha
+    starts from it (Kohli & Torr, ICCV 2005).
+    """
+
+    def __init__(self, height: int, width: int):
+        ids = np.arange(height * width).reshape(height, width)
+        self.shape = (height, width)
+        self.layout = ArcLayout(
+            height * width,
+            np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]),
+            np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]),
+        )
+        self.states: dict[int, FlowState] = {}
+
+
 def expansion_move(
     labels: np.ndarray,
     alpha: int,
@@ -136,6 +157,7 @@ def expansion_move(
     center: Image,
     p: GcParams,
     weights: tuple[np.ndarray, np.ndarray] | None = None,
+    reuse: MoveReuse | None = None,
 ) -> np.ndarray:
     """Optimal single expansion: each pixel keeps its label or takes alpha.
 
@@ -150,15 +172,23 @@ def expansion_move(
     triangle inequality of truncated-linear V keeps non-negative (and which
     is C when fp or fq is OCCLUDED).  Each pixel's t-links are then netted
     to at most one.  All of this is array arithmetic over every pair at
-    once.  The kept pixels are the source side that maxflow.max_flow
-    returns, the minimal one: of all optimal moves, this one switches every
-    pixel that any of them switches.
+    once.  Every 4-neighbor pair is an arc, of capacity 0 where B + C - A
+    is 0, so all moves on one grid share one arc layout.  The kept pixels are
+    the source side that maxflow.max_flow returns, the minimal one: of all
+    optimal moves, this one switches every pixel that any of them switches.
+
+    With reuse, the solve starts from the flow and search trees that the
+    last solve of alpha in reuse left, and leaves its own there.  The move
+    is the same as a fresh solve's.
     """
     labels = _check_labels(labels, c_gc)
     if not c_gc.d_min <= alpha <= c_gc.d_max:
         raise InputError(f"alpha {alpha} outside volume range")
     height, width = labels.shape
-    n_px = height * width
+    if reuse is None:
+        reuse = MoveReuse(height, width)
+    elif reuse.shape != labels.shape:
+        raise InputError(f"reuse was made for a {reuse.shape} grid, not {labels.shape}")
     w_h, w_v = pair_weights(center, p) if weights is None else weights
 
     assigned = labels != OCCLUDED
@@ -167,9 +197,7 @@ def expansion_move(
     keep[assigned] = c_gc.costs[labels[assigned] - c_gc.d_min, yy, xx]
     switch = c_gc.costs[alpha - c_gc.d_min].astype(np.float64)
 
-    source, sink = n_px, n_px + 1
-    g = FlowGraph(n_px + 2, source, sink)
-    ids = np.arange(n_px).reshape(height, width)
+    cap = []
     for sl_p, sl_q, w in (
         (np.s_[:, :-1], np.s_[:, 1:], w_h),
         (np.s_[:-1, :], np.s_[1:, :], w_v),
@@ -181,25 +209,19 @@ def expansion_move(
         keep[sl_p] += a
         switch[sl_p] += c
         keep[sl_q] += c
-        cap = b + c - a
-        arc = cap > 0.0
-        g.add_edges(ids[sl_p][arc], ids[sl_q][arc], cap[arc])
+        cap.append(np.maximum(b + c - a, 0.0).ravel())
 
     # A pixel on the source side keeps its label and pays keep on p->t; on
     # the sink side it switches and pays switch on s->p.
     keep, switch = keep.ravel(), switch.ravel()
     both = np.minimum(keep, switch)
-    keep -= both
-    switch -= both
-    to_switch = np.flatnonzero(switch > 0.0)
-    g.add_edges(source, to_switch, switch[to_switch])
-    to_keep = np.flatnonzero(keep > 0.0)
-    g.add_edges(to_keep, sink, keep[to_keep])
-
-    _, source_side = max_flow(g)
-    keep_mask = np.zeros(n_px + 2, dtype=bool)
-    keep_mask[list(source_side)] = True
-    return np.where(keep_mask[:n_px].reshape(height, width), labels, alpha)
+    g = LayoutGraph(
+        reuse.layout, np.concatenate(cap), switch - both, keep - both,
+        resume=reuse.states.get(alpha),
+    )
+    _, kept = max_flow(g)
+    reuse.states[alpha] = g.state
+    return np.where(kept.reshape(height, width), labels, alpha)
 
 
 def occlusion_pass(
@@ -303,7 +325,7 @@ def _recheck_weights(
         for vals, ok in views:
             both = ok[sl_a] & ok[sl_b]
             maxdiff = np.maximum(maxdiff, np.where(both, np.abs(vals[sl_a] - vals[sl_b]), 0.0))
-        return np.where(maxdiff < p.theta, p.lambda1, p.lambda2)
+        return np.where(maxdiff < p.theta, p.lambda1, p.lambda2).astype(np.float64)
 
     w_h = weight(np.s_[:, :-1], np.s_[:, 1:])
     w_v = weight(np.s_[:-1, :], np.s_[1:, :])
@@ -330,6 +352,10 @@ def multiscopic_gc(
     so an alpha whose move was rejected is not solved again until an
     accepted move, an occlusion pass with flips or a weight recheck has
     changed one of them; its trace entry is still written.
+
+    The moves share one MoveReuse, so each solve of an alpha resumes from
+    the flow and search trees of that alpha's previous solve.  After the
+    first sweep a move changes few pixels, so little of its graph changes.
     """
     p = p or GcParams()
     bm = bm or BlockMatchParams()
@@ -357,11 +383,12 @@ def multiscopic_gc(
     all_alphas = np.arange(bm_up.d_min, bm_up.d_max + 1)
     version = 0  # bumped whenever labels or weights change
     rejected_at: dict[int, int] = {}  # alpha -> version its move was rejected at
+    reuse = MoveReuse(*labels.shape)
     for _ in range(p.max_sweeps):
         changed = False
         for alpha in rng.permutation(all_alphas).tolist():
             if rejected_at.get(alpha) != version:
-                cand = expansion_move(labels, alpha, c_gc, up_center, p, weights)
+                cand = expansion_move(labels, alpha, c_gc, up_center, p, weights, reuse)
                 cand_energy = gc_energy(cand, c_gc, up_center, p, weights)
                 if cand_energy < energy - _IMPROVE_EPS:
                     labels = cand

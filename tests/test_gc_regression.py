@@ -13,6 +13,11 @@ between sweeps (a scene whose output differs from the fixed-weight run, so a
 skip that outlived a weight change would show), the other runs without
 upscaling.  Both also pin the length of the energy trace, which gets one
 entry per move whether the move was solved or skipped.
+
+The last two were recorded before each alpha's solve learned to resume from
+the residual flow and search trees of its previous solve.  Upscaling by 4
+gives the most resumed solves per scene (17 labels over 3 sweeps), and a
+second rng seed with a sweep cap visits the alphas in another order.
 """
 
 import hashlib
@@ -54,3 +59,15 @@ def test_no_upscale_gc_output_digest():
     digest, n_trace = _run(2024, upscale=1)
     assert n_trace == 19
     assert digest == "2cf8076a2768b4f3902af33fb80f00504d79871235ed81ce7cad092c89b974cb"
+
+
+def test_upscale4_gc_output_digest():
+    digest, n_trace = _run(2024, upscale=4)
+    assert n_trace == 55
+    assert digest == "f12dae0bef0cf1d28f3775d902a1a43e0857e99b1a078175da36781965ab1648"
+
+
+def test_seed3_two_sweeps_gc_output_digest():
+    digest, n_trace = _run(2024, rng_seed=3, max_sweeps=2)
+    assert n_trace == 21
+    assert digest == "d3611422d935c4f89096880a82f30358a69cb2ee2f1491cb04bb27d98d2af86b"

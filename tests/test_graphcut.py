@@ -195,6 +195,15 @@ def test_expansion_rejects_bad_alpha():
         expansion_move(np.full((2, 2), 1), OCCLUDED, _vol(costs), _flat_center(2, 2), GcParams())
 
 
+def test_expansion_rejects_reuse_of_another_grid():
+    # a reuse record holds the arc layout of one grid shape, not of another
+    # with the same pixel count
+    costs = np.zeros((2, 2, 8), dtype=np.float32)
+    with pytest.raises(InputError):
+        expansion_move(np.full((2, 8), 1), 2, _vol(costs), _flat_center(2, 8), GcParams(),
+                       reuse=graphcut.MoveReuse(4, 4))
+
+
 # ----------------------------------------------------------- occlusion pass
 
 
@@ -419,9 +428,9 @@ def test_multiscopic_gc_skips_only_moves_already_rejected(monkeypatch):
     calls = []
     solve = graphcut.expansion_move
 
-    def spy(labels, alpha, c_gc, center, p, weights):
+    def spy(labels, alpha, c_gc, center, p, weights, reuse):
         calls.append((alpha, labels.tobytes(), (labels, c_gc, center, p, weights)))
-        return solve(labels, alpha, c_gc, center, p, weights)
+        return solve(labels, alpha, c_gc, center, p, weights, reuse)
 
     monkeypatch.setattr(graphcut, "expansion_move", spy)
     spec = SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))], noise_sigma=4.0)
@@ -438,6 +447,35 @@ def test_multiscopic_gc_skips_only_moves_already_rejected(monkeypatch):
         assert set(got) == set(want), seed
         skipped += len(want) - len(got)
     assert skipped > 0
+
+
+@pytest.mark.parametrize(
+    "params", [{}, {"recheck_smoothness_weights": True}, {"upscale": 1}],
+    ids=["default", "recheck", "upscale1"],
+)
+def test_multiscopic_gc_resumed_moves_equal_fresh_ones(monkeypatch, params):
+    # a solve that resumes from its alpha's previous solve switches the same
+    # pixels as a fresh solve of the same move, also after the labels, the
+    # occlusions or the pair weights changed in between
+    solve = graphcut.expansion_move
+    resumed = 0
+
+    def spy(labels, alpha, c_gc, center, p, weights, reuse):
+        nonlocal resumed
+        resumes = alpha in reuse.states
+        out = solve(labels, alpha, c_gc, center, p, weights, reuse)
+        if resumes:
+            resumed += 1
+            np.testing.assert_array_equal(out, solve(labels, alpha, c_gc, center, p, weights))
+        return out
+
+    monkeypatch.setattr(graphcut, "expansion_move", spy)
+    spec = SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))], noise_sigma=4.0)
+    for seed in range(4):
+        mset, _ = generate_scene(spec, seed=720 + seed)
+        multiscopic_gc(mset, GcParams(rng_seed=seed, **params),
+                       bm=BlockMatchParams(rho=1, d_min=1, d_max=4))
+    assert resumed > 20
 
 
 # ------------------------------------------------------- recheck weights
@@ -461,6 +499,18 @@ def test_recheck_weights_all_occluded_reduce_to_center_rule():
         for got, want in zip(_recheck_weights(mset, labels, p), pair_weights(mset.center, p)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def test_recheck_weights_are_float64_for_integer_lambdas():
+    # integer lambdas from the Python API give the same float64 weights as
+    # float ones, the dtype pair_weights always returns
+    mset = _constant_shift_set(8, 8, 2, seed=42)
+    labels = np.full((8, 8), 2, dtype=np.int64)
+    got = _recheck_weights(mset, labels, GcParams(lambda1=9, lambda2=3))
+    want = _recheck_weights(mset, labels, GcParams(lambda1=9.0, lambda2=3.0))
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        np.testing.assert_array_equal(g, w)
 
 
 def test_multiscopic_gc_recheck_weights_deterministic_and_in_range():

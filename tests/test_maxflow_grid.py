@@ -1,10 +1,11 @@
-"""Max-flow on grid graphs against an Edmonds-Karp reference, and the array
-form of FlowGraph.add_edges."""
+"""Max-flow on grid graphs against an Edmonds-Karp reference, the array
+form of FlowGraph.add_edges, and solves that resume from an earlier flow."""
 
 import numpy as np
 import pytest
 
 from multiscopic import FlowGraph, InputError, max_flow
+from multiscopic.maxflow import ArcLayout, LayoutGraph
 
 from oracles import edmonds_karp_oracle
 
@@ -164,3 +165,119 @@ def test_add_edges_rejects_bad_arcs(u, v, cap, rev_cap):
     with pytest.raises(InputError):
         g.add_edges(np.array(u), np.array(v), np.array(cap), rev_cap)
     assert g.num_arcs() == 0
+
+
+# ------------------------------------------------ resumed solves on a layout
+
+
+def _grid_layout(rng, h, w):
+    """4-neighbor pairs of an h x w grid, each one or two times, in random
+    directions."""
+    pairs = []
+    for y in range(h):
+        for x in range(w):
+            p = y * w + x
+            for q in ([p + 1] if x + 1 < w else []) + ([p + w] if y + 1 < h else []):
+                for _ in range(int(rng.integers(1, 3))):
+                    pairs.append((p, q) if rng.random() < 0.5 else (q, p))
+    tail, head = (np.array(col) for col in zip(*pairs))
+    return ArcLayout(h * w, tail, head)
+
+
+def _changed(rng, step, caps, flow):
+    """The capacities after one change of kind step % 4 on a random subset:
+    increases, decreases below the current flow, terminal sign flips, or
+    zeros."""
+    cap, rev, src, snk = (c.copy() for c in caps)
+    pairs = rng.random(cap.size) < 0.4
+    nodes = rng.random(src.size) < 0.4
+    kind = step % 4
+    if kind == 0:
+        cap[pairs] += rng.integers(1, 4, pairs.sum())
+        rev[pairs] += rng.integers(0, 2, pairs.sum())
+        src[nodes] += rng.integers(0, 4, nodes.sum())
+        snk[nodes] += rng.integers(0, 2, nodes.sum())
+    elif kind == 1:
+        # below the flow the last solve left, in whichever direction it runs
+        fwd, back = pairs & (flow > 0), pairs & (flow < 0)
+        cap[fwd] = np.floor(flow[fwd] * rng.random(fwd.sum()))
+        rev[back] = np.floor(-flow[back] * rng.random(back.sum()))
+        src[nodes] = np.floor(src[nodes] * rng.random(nodes.sum()))
+    elif kind == 2:
+        src[nodes], snk[nodes] = snk[nodes] + rng.integers(0, 2, nodes.sum()), src[nodes]
+    else:
+        cap[pairs] = rev[pairs] = 0.0
+        src[nodes] = snk[nodes] = 0.0
+    return cap, rev, src, snk
+
+
+def _oracle(layout, caps):
+    cap, rev, src, snk = caps
+    n = layout.num_nodes
+    s, t = n, n + 1
+    arcs = [(int(u), int(v), float(c), float(r))
+            for u, v, c, r in zip(layout.pair_tail, layout.pair_head, cap, rev)]
+    arcs += [(s, i, float(c), 0.0) for i, c in enumerate(src) if c]
+    arcs += [(i, t, float(c), 0.0) for i, c in enumerate(snk) if c]
+    return edmonds_karp_oracle(n + 2, arcs, s, t)
+
+
+def test_resumed_solves_match_edmonds_karp():
+    # each step changes the capacities of one grid and resumes from the flow
+    # and search trees of the step before; value and minimal source set must
+    # be those of a solve from scratch, after every step
+    for trial in range(400):
+        rng = np.random.default_rng(np.random.SeedSequence([4405, trial]))
+        h, w = (int(v) for v in rng.integers(2, 5, size=2))
+        layout = _grid_layout(rng, h, w)
+        m, n = layout.pair_tail.size, layout.num_nodes
+        caps = (
+            rng.integers(0, 4, m).astype(float),
+            np.where(rng.random(m) < 0.5, rng.integers(0, 4, m), 0).astype(float),
+            np.where(rng.random(n) < 0.8, rng.integers(0, 6, n), 0).astype(float),
+            np.where(rng.random(n) < 0.8, rng.integers(0, 6, n), 0).astype(float),
+        )
+        state = None
+        for step in range(9):
+            if step:
+                caps = _changed(rng, int(rng.integers(4)), caps, state.flow)
+            cap, rev, src, snk = caps
+            g = LayoutGraph(layout, cap, src, snk, rev, resume=state)
+            value, mask = max_flow(g)
+            want_value, want_side = _oracle(layout, caps)
+            assert value == want_value, (trial, step)
+            assert set(np.flatnonzero(mask).tolist()) | {n} == want_side, (trial, step)
+            state = g.state
+
+
+def test_resume_keeps_the_state_it_started_from():
+    # a state can be resumed from twice: max_flow leaves a new state and
+    # does not write into the one it was given
+    rng = np.random.default_rng(4406)
+    layout = _grid_layout(rng, 3, 4)
+    m, n = layout.pair_tail.size, layout.num_nodes
+    first = LayoutGraph(layout, rng.integers(0, 4, m), rng.integers(0, 6, n), rng.integers(0, 6, n))
+    max_flow(first)
+    kept = [a.copy() for a in vars(first.state).values()]
+    cap, src, snk = rng.integers(0, 4, m), rng.integers(0, 6, n), rng.integers(0, 6, n)
+    a = max_flow(LayoutGraph(layout, cap, src, snk, resume=first.state))
+    b = max_flow(LayoutGraph(layout, cap, src, snk, resume=first.state))
+    for before, after in zip(kept, vars(first.state).values()):
+        np.testing.assert_array_equal(before, after)
+    assert a[0] == b[0]
+    np.testing.assert_array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize(
+    "cap, src, snk",
+    [
+        ([1.0, -1.0], 0.0, 0.0),  # negative pair capacity
+        ([1.0, 1.0], [0.0, 0.0, np.inf], 0.0),  # infinite terminal capacity
+        ([1.0, np.nan], 0.0, 0.0),  # NaN pair capacity
+        ([1.0, 1.0, 1.0], 0.0, 0.0),  # one capacity too many
+    ],
+)
+def test_layout_graph_rejects_bad_capacities(cap, src, snk):
+    layout = ArcLayout(3, [0, 1], [1, 2])
+    with pytest.raises(InputError):
+        LayoutGraph(layout, np.array(cap), src, snk)
