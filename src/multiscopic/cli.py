@@ -4,9 +4,10 @@ Subcommands: synth, cost, fuse, disparity, gc, train, infer, eval, colorize.
 `disparity` is cost -> fuse (mean, min or heuristic) -> WTA; the fusion
 network runs only through `infer`, on weights written by `train`.
 Every hyperparameter is a flag; an optional key=value config file supplies
-defaults (flags win).  Commands that write artifacts also write run.txt
+defaults (flags win).  Only the commands that draw random numbers (synth,
+gc, train) take --seed.  Commands that write artifacts also write run.txt
 echoing their parameters, and all outputs are byte-deterministic given the
-same flags and seed.
+same flags.
 
 Exit codes: 0 success, 1 bad input, usage or an OS error (one `error:` line
 naming the file), 2 internal assertion failure.
@@ -74,7 +75,6 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 def _add_common(p: _Parser):
     p.add_argument("--config", help="key=value file of flag defaults")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_bm(p: _Parser):
@@ -320,6 +320,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic multiscopic dataset")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width", type=int, default=64)
@@ -357,6 +358,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gc", help="graph-cuts disparity with occlusion label")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_inputs(p)
     _add_bm(p)
     _add_gc(p)
@@ -366,6 +368,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the fusion network on a dataset")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_bm(p)
     p.add_argument("--data", required=True, help="dataset root with manifest.txt")
     p.add_argument("--lr", type=float, default=1e-3)

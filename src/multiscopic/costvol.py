@@ -76,15 +76,16 @@ class CostVolume:
     def width(self) -> int:
         return self.costs.shape[2]
 
-    def disparities(self) -> np.ndarray:
-        return np.arange(self.d_min, self.d_max + 1)
 
-    def same_grid(self, other: "CostVolume") -> bool:
-        return (
-            self.costs.shape == other.costs.shape
-            and self.d_min == other.d_min
-            and self.d_max == other.d_max
-        )
+def check_volumes(volumes: list[CostVolume], caller: str):
+    """Raise InputError unless there is a volume and all volumes share one
+    shape and disparity range; caller names the step in the message."""
+    if not volumes:
+        raise InputError(f"{caller} needs at least one volume")
+    first = volumes[0]
+    for v in volumes[1:]:
+        if v.costs.shape != first.costs.shape or (v.d_min, v.d_max) != (first.d_min, first.d_max):
+            raise InputError("volumes differ in shape or disparity range")
 
 
 def _check_pair(ref: Image, target: Image):

@@ -29,7 +29,7 @@ import enum
 
 import numpy as np
 
-from .costvol import LARGE_COST, CostVolume
+from .costvol import LARGE_COST, CostVolume, check_volumes
 from .errors import InputError
 from .imagery import INVALID_DISPARITY, DisparityMap
 
@@ -79,14 +79,10 @@ def fuse(
     """Reduce per-view cost volumes to a single volume, cell by cell."""
     if not isinstance(strategy, FusionStrategy):
         raise InputError(f"unknown fusion strategy {strategy!r}")
-    if not volumes:
-        raise InputError("fuse needs at least one volume")
+    check_volumes(volumes, "fuse")
     if not heuristic_factor > 0:
         raise InputError(f"heuristic_factor must be positive, got {heuristic_factor}")
     first = volumes[0]
-    for v in volumes[1:]:
-        if not first.same_grid(v):
-            raise InputError("volumes differ in shape or disparity range")
     if len(volumes) == 1:
         return CostVolume(first.costs.copy(), first.d_min, first.d_max)
 

@@ -407,9 +407,11 @@ def multiscopic_gc(
         if energy_trace is not None:
             energy_trace.append(energy)
         if p.recheck_smoothness_weights:
-            weights = _recheck_weights(up_set, labels, p)
-            version += 1
-            energy = gc_energy(labels, c_gc, up_center, p, weights)
+            rechecked = _recheck_weights(up_set, labels, p)
+            if not all(map(np.array_equal, rechecked, weights)):
+                weights = rechecked
+                version += 1
+                energy = gc_energy(labels, c_gc, up_center, p, weights)
         if not changed:
             break
 

@@ -106,7 +106,6 @@ class DisparityMap:
     """Per-pixel real-valued disparity; invalid pixels are +inf, never 0."""
 
     values: np.ndarray
-    pfm_scale: float = 1.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float32).copy()
@@ -293,9 +292,9 @@ def read_image(path: Union[str, Path]) -> AnyImage:
 
     The container type follows the magic: PGM -> Image, PPM -> ColorImage,
     PFM -> DisparityMap.  PFM rows are stored bottom-to-top and are flipped
-    to the package's top-down convention; the scale's sign selects
-    endianness and its magnitude is recorded on the returned map.  Decoding
-    errors name the file.
+    to the package's top-down convention.  The scale must be finite and
+    non-zero; its sign selects endianness and its magnitude is not kept
+    (write_image always writes -1).  Decoding errors name the file.
     """
     data = Path(path).read_bytes()
     try:
@@ -333,8 +332,8 @@ def _decode_image(data: bytes) -> AnyImage:
             scale = float(scale_tok)
         except ValueError:
             raise FormatError(f"bad PFM scale field {scale_tok!r}") from None
-        if scale == 0.0:
-            raise FormatError("PFM scale must be non-zero")
+        if not (np.isfinite(scale) and scale != 0.0):
+            raise FormatError(f"PFM scale must be finite and non-zero, got {scale_tok!r}")
         scanner.begin_payload()
         raw = scanner.rest()
         need = 4 * width * height
@@ -343,7 +342,7 @@ def _decode_image(data: bytes) -> AnyImage:
         dtype = "<f4" if scale < 0 else ">f4"
         vals = np.frombuffer(raw[:need], dtype=dtype).reshape(height, width)
         # PFM stores the bottom row first.
-        return DisparityMap(np.flipud(vals).astype(np.float32), pfm_scale=abs(scale))
+        return DisparityMap(np.flipud(vals).astype(np.float32))
 
     raise FormatError(f"unknown magic {magic!r}")
 
@@ -380,8 +379,7 @@ def write_image(path: Union[str, Path], image: AnyImage, ascii_format: bool = Fa
     elif isinstance(image, DisparityMap):
         if ascii_format:
             raise InputError("PFM has no ASCII variant")
-        scale = -abs(image.pfm_scale) if image.pfm_scale else -1.0
-        header = f"Pf\n{image.width} {image.height}\n{scale:.6g}\n"
+        header = f"Pf\n{image.width} {image.height}\n-1\n"
         rows = np.flipud(image.values).astype("<f4")
         path.write_bytes(header.encode("ascii") + rows.tobytes())
     else:

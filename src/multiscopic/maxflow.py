@@ -8,16 +8,18 @@ persist across augmentations, so on 4-connected grid graphs most paths are
 found by looking at a handful of arcs.
 
 Arcs are stored as twinned pairs: arc i and its reverse i^1 live at adjacent
-indices.  The arcs at the terminals fold into one residual terminal
-capacity per node; the other arcs form an ArcLayout, a CSR order stable-
-sorted by tail so each node scans its arcs in insertion order.  A FlowGraph
-is built arc by arc and solved from zero flow.  A LayoutGraph gives whole
+indices.  The arcs at the terminals fold into one residual terminal capacity
+per node; the other arcs form an ArcLayout, a CSR order stable-sorted by
+tail so each node scans its arcs in insertion order.  A FlowGraph is built
+one add_edge at a time and solved from zero flow.  A LayoutGraph gives whole
 capacity arrays on a layout that graphs of one shape share, and may resume
 from the FlowState of an earlier solve on it (Kohli & Torr, "Efficiently
-solving dynamic Markov random fields using graph cuts", ICCV 2005): the
-old flow is cut back to the new capacities, what no longer fits becomes
-terminal excess, and the search trees are repaired where they broke.  A
-fresh solve is a resume from the empty state, so both run one path.
+solving dynamic Markov random fields using graph cuts", ICCV 2005): the old
+flow is cut back to the new capacities, what no longer fits becomes terminal
+excess, and the search trees are repaired where they broke.  A fresh solve
+is a resume from the empty state, so both run one path.  Endpoints are
+checked in one place for add_edge and ArcLayout, and capacities in one place
+for add_edge and LayoutGraph.
 
 Graph preparation is NumPy; the search runs over Python lists.  Before it,
 array rounds push flow straight along every arc from a node with source
@@ -59,48 +61,17 @@ class FlowGraph:
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
-        # (tail, head, cap, rev_cap) per add_edges call
-        self._batches: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._num_arcs = 0
-
-    def add_edges(self, u, v, cap, rev_cap=0.0) -> np.ndarray:
-        """Add arcs u[i]->v[i] with twins v[i]->u[i]; scalars broadcast.
-
-        Returns the forward arc indices (arc k's twin is k ^ 1).
-        """
-        u, v = np.asarray(u), np.asarray(v)
-        cap = np.asarray(cap, dtype=np.float64)
-        rev_cap = np.asarray(rev_cap, dtype=np.float64)
-        try:
-            u, v, cap, rev_cap = (a.ravel() for a in np.broadcast_arrays(u, v, cap, rev_cap))
-        except ValueError as err:
-            raise InputError(f"arc arrays do not broadcast: {err}") from None
-        if u.size and not (np.issubdtype(u.dtype, np.integer) and np.issubdtype(v.dtype, np.integer)):
-            raise InputError("arc endpoints must be integers")
-        out = (u < 0) | (u >= self.num_nodes) | (v < 0) | (v >= self.num_nodes)
-        if out.any():
-            i = int(np.argmax(out))
-            raise InputError(f"arc endpoints ({u[i]}, {v[i]}) out of range")
-        loops = u == v
-        if loops.any():
-            raise InputError(f"self-loop at node {u[np.argmax(loops)]} is not allowed")
-        if not ((cap >= 0.0).all() and (rev_cap >= 0.0).all()):
-            raise InputError("capacities must be non-negative")
-        if np.isinf(cap).any() or np.isinf(rev_cap).any():
-            raise InputError("capacities must be finite")
-        first = self._num_arcs
-        self._batches.append(
-            (u.astype(np.int64), v.astype(np.int64), cap.copy(), rev_cap.copy())
-        )
-        self._num_arcs += u.size
-        return 2 * np.arange(first, self._num_arcs)
+        self._arcs: list[tuple[int, int, float, float]] = []  # (u, v, cap, rev_cap)
 
     def add_edge(self, u: int, v: int, cap: float, rev_cap: float = 0.0) -> int:
         """Add arc u->v and its twin v->u; returns the forward arc index."""
-        return int(self.add_edges([u], [v], [cap], [rev_cap])[0])
+        (u,), (v,) = _endpoints(self.num_nodes, [u], [v])
+        cap, rev_cap = _capacities((cap, rev_cap), 2).tolist()
+        self._arcs.append((int(u), int(v), cap, rev_cap))
+        return 2 * (len(self._arcs) - 1)
 
     def num_arcs(self) -> int:
-        return self._num_arcs
+        return len(self._arcs)
 
     def _layout_graph(self) -> tuple[LayoutGraph, float]:
         """This graph as a LayoutGraph of its inner arcs, and the capacity
@@ -110,13 +81,13 @@ class FlowGraph:
         the source or out of the sink carry no flow in a maximum flow and
         reach no node from the source, so they are dropped.
         """
-        n, s, t, m = self.num_nodes, self.source, self.sink, self._num_arcs
+        n, s, t, m = self.num_nodes, self.source, self.sink, len(self._arcs)
         # all 2m arcs, each twin right after its arc
         tail = np.empty(2 * m, dtype=np.int64)
         head = np.empty(2 * m, dtype=np.int64)
         cap = np.empty(2 * m, dtype=np.float64)
         if m:
-            u, v, c, r = (np.concatenate(cols) for cols in zip(*self._batches))
+            u, v, c, r = zip(*self._arcs)
             tail[0::2], tail[1::2] = u, v
             head[0::2], head[1::2] = v, u
             cap[0::2], cap[1::2] = c, r
@@ -142,14 +113,7 @@ class ArcLayout:
     """
 
     def __init__(self, num_nodes: int, tail, head):
-        tail = np.asarray(tail, dtype=np.int64)
-        head = np.asarray(head, dtype=np.int64)
-        if tail.shape != head.shape or tail.ndim != 1:
-            raise InputError("pair tails and heads must be 1-D arrays of one length")
-        if tail.size and (min(tail.min(), head.min()) < 0 or max(tail.max(), head.max()) >= num_nodes):
-            raise InputError(f"pair endpoints out of range for {num_nodes} nodes")
-        if (tail == head).any():
-            raise InputError("a pair must join two different nodes")
+        tail, head = _endpoints(num_nodes, tail, head)
         ends = np.empty(2 * tail.size, dtype=np.int64)
         ends[0::2], ends[1::2] = tail, head
         order = np.argsort(ends, kind="stable")
@@ -187,6 +151,21 @@ class FlowState:
         n = layout.num_nodes
         return cls(np.zeros(layout.pair_tail.size), np.zeros(n), np.zeros(n),
                    np.full(n, _FREE, dtype=np.int32), np.zeros(n, dtype=bool))
+
+
+def _endpoints(num_nodes: int, tail, head) -> tuple[np.ndarray, np.ndarray]:
+    """tail and head as int64 arrays, once they are 1-D integer arrays of
+    one length whose entries are nodes, with no self-loop."""
+    tail, head = np.asarray(tail), np.asarray(head)
+    if tail.shape != head.shape or tail.ndim != 1:
+        raise InputError("arc tails and heads must be 1-D arrays of one length")
+    if tail.size and not (np.issubdtype(tail.dtype, np.integer) and np.issubdtype(head.dtype, np.integer)):
+        raise InputError("arc endpoints must be integers")
+    bad = (np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= num_nodes) | (tail == head)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"arc ({tail[i]}, {head[i]}) is a self-loop or leaves the {num_nodes} nodes")
+    return tail.astype(np.int64), head.astype(np.int64)
 
 
 def _capacities(values, size: int) -> np.ndarray:

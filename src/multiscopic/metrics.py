@@ -27,9 +27,6 @@ class MetricsReport:
     bad: dict[float, float]  # threshold -> percentage in [0, 100]
     count: int  # jointly valid pixels behind rms/avg_err
 
-    def row(self) -> list[float]:
-        return [self.rms, self.avg_err] + [self.bad[t] for t in sorted(self.bad)]
-
 
 def evaluate(
     pred: DisparityMap,

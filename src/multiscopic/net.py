@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costvol import LARGE_COST, CostVolume
+from .costvol import LARGE_COST, CostVolume, check_volumes
 from .errors import FormatError, InputError, TrainingError
 from .imagery import DisparityMap
 from . import layers
@@ -129,17 +129,8 @@ def normalize_volume(vol: CostVolume, mode: str) -> np.ndarray:
     return ((x - x.mean()) / std).astype(costs.dtype)
 
 
-def _check_volumes(volumes: list[CostVolume]):
-    if not volumes:
-        raise InputError("forward needs at least one volume")
-    first = volumes[0]
-    for v in volumes[1:]:
-        if not first.same_grid(v):
-            raise InputError("volumes differ in shape or disparity range")
-
-
 def _forward_cached(net: FusionNet, volumes: list[CostVolume]):
-    _check_volumes(volumes)
+    check_volumes(volumes, "forward")
     dtype = net.dtype
     cv = net.convs
     n = len(volumes)

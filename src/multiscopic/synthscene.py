@@ -23,14 +23,6 @@ from .imagery import Direction, DisparityMap, Image, MultiscopicSet, read_image,
 
 VIEW_ORDER = (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)
 
-_VIEW_FILES = {
-    Direction.LEFT: "left.pgm",
-    Direction.RIGHT: "right.pgm",
-    Direction.TOP: "top.pgm",
-    Direction.BOTTOM: "bottom.pgm",
-}
-
-
 @dataclass
 class SceneLayer:
     """One fronto-parallel layer: a disparity and an occluder rectangle.
@@ -277,7 +269,7 @@ def generate_dataset(
         sdir.mkdir(exist_ok=True)
         write_image(sdir / "center.pgm", mset.center)
         for direction, img in mset.surround:
-            write_image(sdir / _VIEW_FILES[direction], img)
+            write_image(sdir / f"{direction.value}.pgm", img)
         write_image(sdir / "gt.pfm", gt)
         meta = (
             f"baseline={mset.baseline_mm}\n"
@@ -310,7 +302,7 @@ def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[Di
     center = _read_as(center_path, Image, "grayscale image")
     surround = []
     for direction in VIEW_ORDER:
-        path = scene_dir / _VIEW_FILES[direction]
+        path = scene_dir / f"{direction.value}.pgm"
         if path.exists():
             surround.append((direction, _read_as(path, Image, "grayscale image")))
     if not surround:

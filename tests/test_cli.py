@@ -219,6 +219,50 @@ def test_run_manifest_is_sorted_and_complete(tmp_path):
     assert kv["subpixel"] == "1"
 
 
+def _manifest_values(outdir):
+    return dict(l.split("=", 1) for l in (outdir / "run.txt").read_text().split("\n")[1:] if l)
+
+
+def test_seed_is_taken_where_a_command_is_random(tmp_path):
+    data = _synth(tmp_path, scenes=2)  # with --seed 5
+    assert _manifest_values(data)["seed"] == "5"
+    gc_out = tmp_path / "gc"
+    assert run(["gc", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+                "--upscale", "1", "--max-sweeps", "1", "--seed", "3",
+                "--out", str(gc_out)]) == 0
+    assert _manifest_values(gc_out)["seed"] == "3"
+    weights = tmp_path / "model" / "net.mfn"
+    assert run(["train", "--data", str(data), "--rho", "1", "--d-max", "3",
+                "--epochs", "1", "--seed", "2", "--out", str(weights)]) == 0
+    assert _manifest_values(weights.parent)["seed"] == "2"
+    disp_out = tmp_path / "disp"
+    assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1",
+                "--d-max", "3", "--out", str(disp_out)]) == 0
+    assert "seed" not in _manifest_values(disp_out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--in", "scene", "--out", "out"],
+        ["fuse", "--volumes", "a.mcv", "--out", "out.mcv"],
+        ["disparity", "--in", "scene", "--out", "out"],
+        ["infer", "--in", "scene", "--weights", "net.mfn", "--out", "out"],
+        ["eval", "--pred", "disp.pfm", "--gt", "gt.pfm", "--out", "eval.txt"],
+        ["colorize", "--in", "gt.pfm", "--out", "jet.ppm"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_rejected_where_nothing_is_random(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: multiscopic ")
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------------- config
 
 

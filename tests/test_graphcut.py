@@ -478,6 +478,34 @@ def test_multiscopic_gc_resumed_moves_equal_fresh_ones(monkeypatch, params):
     assert resumed > 20
 
 
+def test_recheck_that_keeps_the_weights_solves_no_move_again(monkeypatch):
+    # a recheck that returns the weights in use changes nothing a move
+    # depends on, so the run solves exactly the moves of a run without it
+    # and ends with the same labels and energy trace
+    solve = graphcut.expansion_move
+    calls = []
+
+    def spy(*args):
+        calls.append((args[1], args[0].tobytes()))
+        return solve(*args)
+
+    monkeypatch.setattr(graphcut, "expansion_move", spy)
+    monkeypatch.setattr(graphcut, "_recheck_weights",
+                        lambda mset, labels, p: pair_weights(mset.center, p))
+    spec = SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))], noise_sigma=4.0)
+    bm = BlockMatchParams(rho=1, d_min=1, d_max=4)
+    for seed in range(3):
+        mset, _ = generate_scene(spec, seed=740 + seed)
+        runs = []
+        for recheck in (False, True):
+            calls.clear()
+            trace = []
+            p = GcParams(rng_seed=seed, recheck_smoothness_weights=recheck)
+            out = multiscopic_gc(mset, p, bm=bm, energy_trace=trace)
+            runs.append((list(calls), out.values.tobytes(), trace))
+        assert runs[1] == runs[0], seed
+
+
 # ------------------------------------------------------- recheck weights
 
 

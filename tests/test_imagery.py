@@ -261,10 +261,12 @@ def test_ascii_payload_of_minimal_length_decodes(tmp_path):
     np.testing.assert_array_equal(read_image(str(p)).pixels, [[1, 2], [3, 4]])
 
 
-def test_pfm_zero_scale_rejected(tmp_path):
+@pytest.mark.parametrize("scale", ["0.0", "nan", "-nan", "inf", "-inf"])
+def test_pfm_zero_scale_rejected(tmp_path, scale):
+    # only a finite, non-zero scale is one whose sign can pick the byte order
     p = tmp_path / "z.pfm"
-    p.write_bytes(b"Pf\n1 1\n0.0\n" + struct.pack("<f", 1.0))
-    with pytest.raises(FormatError):
+    p.write_bytes(b"Pf\n1 1\n" + scale.encode() + b"\n" + struct.pack("<f", 1.0))
+    with pytest.raises(FormatError, match="z.pfm"):
         read_image(str(p))
 
 

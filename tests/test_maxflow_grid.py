@@ -1,5 +1,5 @@
-"""Max-flow on grid graphs against an Edmonds-Karp reference, the array
-form of FlowGraph.add_edges, and solves that resume from an earlier flow."""
+"""Max-flow on grid graphs against an Edmonds-Karp reference, the arc
+checks, and solves that resume from an earlier flow."""
 
 import numpy as np
 import pytest
@@ -114,28 +114,6 @@ def test_grid_shapes_match_edmonds_karp(h, w):
         assert (value, side) == edmonds_karp_oracle(n, arcs, s, t)
 
 
-def test_add_edges_batch_equals_single_arcs():
-    rng = np.random.default_rng(4403)
-    n, s, t, arcs = _grid_graph(rng, 6, 6)
-    u, v, c, r = (np.array(col) for col in zip(*arcs))
-    g = FlowGraph(n, s, t)
-    first = g.add_edges(u[:10], v[:10], c[:10], r[:10])
-    rest = g.add_edges(u[10:], v[10:], c[10:], r[10:])
-    assert g.num_arcs() == len(arcs)
-    np.testing.assert_array_equal(np.concatenate([first, rest]), 2 * np.arange(len(arcs)))
-    assert max_flow(g) == _solve(n, s, t, arcs)
-
-
-def test_add_edges_broadcasts_scalars():
-    g = FlowGraph(5, 3, 4)
-    g.add_edges(3, np.array([0, 1, 2]), 2.0)
-    g.add_edges(np.array([0, 1, 2]), 4, np.array([1.0, 5.0, 0.0]))
-    assert g.num_arcs() == 6
-    value, side = max_flow(g)
-    assert value == 3.0
-    assert side == {0, 2, 3}  # s->1 saturates; 0 and 2 keep residual from s
-
-
 def test_max_flow_leaves_graph_unchanged():
     rng = np.random.default_rng(4404)
     n, s, t, arcs = _grid_graph(rng, 4, 4)
@@ -156,15 +134,35 @@ def test_max_flow_leaves_graph_unchanged():
         ([0, 1], [1, 2], [np.nan, 1.0], 0.0),  # NaN capacity
         ([0, 1], [1, 5], [1.0, 1.0], 0.0),  # endpoint past the last node
         ([0, -1], [1, 2], [1.0, 1.0], 0.0),  # negative endpoint
-        ([0, 1], [1, 2, 0], [1.0, 1.0], 0.0),  # lengths differ
+        ([0, 1], [1, 2], [1.0, -np.inf], 0.0),  # negative infinite capacity
         ([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], 0.0),  # non-integer endpoints
+        ([0, 1], [1, 2], [1.0, 1.0], [0.0, np.nan]),  # NaN reverse capacity
     ],
 )
 def test_add_edges_rejects_bad_arcs(u, v, cap, rev_cap):
+    # the arcs go in one add_edge at a time; the bad one raises and leaves
+    # the graph with the arcs before it
     g = FlowGraph(3, 0, 2)
+    rev_cap = np.broadcast_to(rev_cap, len(cap))
     with pytest.raises(InputError):
-        g.add_edges(np.array(u), np.array(v), np.array(cap), rev_cap)
-    assert g.num_arcs() == 0
+        for k, arc in enumerate(zip(u, v, cap, rev_cap)):
+            assert g.add_edge(*arc) == 2 * k
+    assert g.num_arcs() == k
+
+
+@pytest.mark.parametrize(
+    "tail, head",
+    [
+        ([0, 1], [1, 2, 0]),  # lengths differ
+        ([[0, 1]], [[1, 2]]),  # not 1-D
+        ([0.0, 1.0], [1.0, 2.0]),  # non-integer endpoints
+        ([0, 1], [1, 3]),  # endpoint past the last node
+        ([0, 1], [1, 1]),  # self-loop
+    ],
+)
+def test_arc_layout_rejects_bad_pairs(tail, head):
+    with pytest.raises(InputError):
+        ArcLayout(3, np.array(tail), np.array(head))
 
 
 # ------------------------------------------------ resumed solves on a layout
