@@ -171,10 +171,12 @@ def _fuse(volumes, args):
 
 def _write_disparity(command: str, args, dmap: DisparityMap) -> int:
     """disp.pfm, its Jet rendering and run.txt under --out."""
+    # the ramp spans [0, d_max]; a [0, 0] range puts its zeros at its start
+    jet = colorize_jet(dmap, float(max(args.d_max, 1)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_image(outdir / "disp.pfm", dmap)
-    write_image(outdir / "disp_jet.ppm", colorize_jet(dmap, float(args.d_max)))
+    write_image(outdir / "disp_jet.ppm", jet)
     _write_run_manifest(outdir, command, args)
     print(f"wrote {outdir / 'disp.pfm'}")
     return 0

@@ -95,13 +95,12 @@ def _check_pair(ref: Image, target: Image):
         )
 
 
-def _inbounds_mask(height: int, width: int, ox: int, oy: int) -> np.ndarray:
-    """True where (x + ox, y + oy) stays inside the image."""
-    ys = np.arange(height) + oy
-    xs = np.arange(width) + ox
-    row_ok = (ys >= 0) & (ys < height)
-    col_ok = (xs >= 0) & (xs < width)
-    return row_ok[:, None] & col_ok[None, :]
+def _inbounds_window(height: int, width: int, ox: int, oy: int) -> tuple[slice, slice]:
+    """Rows and columns where (x + ox, y + oy) stays inside the image; the
+    slices are empty when the shift leaves the frame."""
+    rows = slice(max(0, -oy), max(0, min(height, height - oy)))
+    cols = slice(max(0, -ox), max(0, min(width, width - ox)))
+    return rows, cols
 
 
 def sad_cost_volume(
@@ -109,41 +108,52 @@ def sad_cost_volume(
 ) -> CostVolume:
     """Sum of absolute differences over a (2*rho+1)^2 block.
 
-    Block coordinates clamp at image borders.  The reference is clamped and
-    padded by rho on every side once; each disparity then builds one
-    absolute-difference plane against the equally padded, shifted target,
-    and sums the (2*rho+1)^2 shifted windows of that plane.  Every cell
-    accumulates the same terms in row-major block order (dy outer, dx inner)
-    in float32, so a scalar oracle with the same order reproduces the result
-    bit for bit.
+    Block coordinates clamp at image borders.  The reference is edge-padded
+    by rho on every side once.  The target is edge-padded once too: by rho
+    across the shift axis and by rho + min(d_max, span) along it, where span
+    is the image extent on that axis, so the padding is bounded by the image
+    and not by d_max.  Each disparity's shifted target is then a slice view
+    of that copy; a shift of span or more leaves the frame and gives an
+    all-LARGE_COST slice without reading the target.  Each disparity builds
+    one absolute-difference plane and sums the (2*rho+1)^2 shifted windows
+    of it.  Every cell accumulates the same terms in row-major block order
+    (dy outer, dx inner) in float32, so a scalar oracle with the same order
+    reproduces the result bit for bit.
     """
     _check_pair(ref, target)
     a = ref.pixels
-    b = target.pixels
     height, width = a.shape
     r = p.rho
     pw = width + 2 * r
-    ys = np.arange(-r, height + r)
-    xs = np.arange(-r, width + r)
-    a_pad = a[np.clip(ys, 0, height - 1)][:, np.clip(xs, 0, width - 1)]
-    out = np.empty((p.num_disparities, height, width), dtype=np.float32)
+    step_x, step_y = direction.offset(1)
+    reach = min(p.d_max, width if step_x else height)
+    px, py = r + reach * abs(step_x), r + reach * abs(step_y)
+    a_pad = np.pad(a, r, mode="edge")
+    b_pad = np.pad(target.pixels, ((py, py), (px, px)), mode="edge")
+    diff = np.empty((height + 2 * r, pw), dtype=np.float32)
+    flat = diff.ravel()
+    acc = np.empty(height * pw, dtype=np.float32)
+    run = acc[: height * pw - 2 * r]
+    sums = acc.reshape(height, pw)[:, :width]
+    out = np.full((p.num_disparities, height, width), LARGE_COST, dtype=np.float32)
 
     for k in range(p.num_disparities):
-        d = p.d_min + k
-        ox, oy = direction.offset(d)
-        b_pad = b[np.clip(ys + oy, 0, height - 1)][:, np.clip(xs + ox, 0, width - 1)]
-        diff = np.abs(a_pad - b_pad).ravel()
+        ox, oy = direction.offset(p.d_min + k)
+        if abs(ox) >= width or abs(oy) >= height:
+            continue
+        y0, x0 = py - r + oy, px - r + ox
+        np.subtract(a_pad, b_pad[y0 : y0 + height + 2 * r, x0 : x0 + pw], out=diff)
+        np.abs(diff, out=diff)
         # Each window is one flat run of the padded plane: cell (v, u) sits at
         # v*pw + u and its (dy, dx) term at (v+dy)*pw + u+dx.  The run's
-        # padding columns (u >= width) are summed too and dropped below.
-        acc = np.zeros(height * pw, dtype=np.float32)
-        run = acc[: height * pw - 2 * r]
+        # padding columns (u >= width) are summed too and never read.
+        acc.fill(0.0)
         for dy in range(2 * r + 1):
             for dx in range(2 * r + 1):
                 start = dy * pw + dx
-                run += diff[start : start + run.size]
-        sums = acc.reshape(height, pw)[:, :width]
-        out[k] = np.where(_inbounds_mask(height, width, ox, oy), sums, LARGE_COST)
+                run += flat[start : start + run.size]
+        win = _inbounds_window(height, width, ox, oy)
+        out[k][win] = sums[win]
     return CostVolume(out, p.d_min, p.d_max)
 
 
@@ -172,7 +182,7 @@ def bt_cost_volume(
     lo = cand.min(axis=0)
     hi = cand.max(axis=0)
 
-    out = np.empty((p.num_disparities, height, width), dtype=np.float32)
+    out = np.full((p.num_disparities, height, width), LARGE_COST, dtype=np.float32)
     zero = np.float32(0.0)
     for k in range(p.num_disparities):
         d = p.d_min + k
@@ -182,7 +192,8 @@ def bt_cost_volume(
         lo_s = lo[rows][:, cols]
         hi_s = hi[rows][:, cols]
         cost = np.maximum(zero, np.maximum(a - hi_s, lo_s - a))
-        out[k] = np.where(_inbounds_mask(height, width, ox, oy), cost, LARGE_COST)
+        win = _inbounds_window(height, width, ox, oy)
+        out[k][win] = cost[win]
     return CostVolume(out, p.d_min, p.d_max)
 
 

@@ -16,7 +16,8 @@ Each disparity slice is fused on its own.  Its n float32 costs per cell are
 ordered by an adjacent compare-exchange network that swaps only a strictly
 smaller later value, or a non-NaN later value past a NaN: a stable
 ascending order with NaN last, the order a stable sort gives, down to the
-relative order of -0.0 and +0.0.
+relative order of -0.0 and +0.0.  A swap exchanges raw bits, not values,
+so NaN payloads and the signs of zeros move with their cells.
 
 Internals run in float64 with ascending-order summation so the pointwise
 ordering MIN <= HEURISTIC <= MEAN survives the final float32 cast (rounding
@@ -40,24 +41,29 @@ class FusionStrategy(enum.Enum):
     HEURISTIC = "heuristic"
 
 
-def _order_cells(rows: np.ndarray) -> np.ndarray:
-    """Sort (n, H, W) rows ascending per cell, stable and NaN last, in place.
+def _order_cells(rows: list[np.ndarray]) -> None:
+    """Sort n float32 rows ascending per cell, in place: stable, NaN last.
 
     Odd-even transposition: n rounds of compare-exchange on adjacent rows.
+    Each exchange moves raw bits: x = lo ^ hi, zeroed where the pair keeps
+    its order, then lo ^= x and hi ^= x.
     """
-    n = rows.shape[0]
+    bits = [row.view(np.uint32) for row in rows]
+    n = len(rows)
     for rnd in range(n):
         for i in range(rnd % 2, n - 1, 2):
             lo, hi = rows[i], rows[i + 1]
             # hi < lo, or lo is NaN, provided hi is not NaN
             swap = (hi == hi) & ~(lo <= hi)
-            rows[i], rows[i + 1] = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    return rows
+            x = bits[i] ^ bits[i + 1]
+            x *= swap
+            bits[i] ^= x
+            bits[i + 1] ^= x
 
 
-def _fuse_slice(srt: np.ndarray, strategy: FusionStrategy, heuristic_factor: float):
+def _fuse_slice(srt: list[np.ndarray], strategy: FusionStrategy, heuristic_factor: float):
     """Fused float64 costs of one disparity slice from its ordered rows."""
-    n = srt.shape[0]
+    n = len(srt)
     if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
         return srt[0].astype(np.float64)
     if strategy is FusionStrategy.MEAN:
@@ -68,7 +74,11 @@ def _fuse_slice(srt: np.ndarray, strategy: FusionStrategy, heuristic_factor: flo
     c1, c2, c3 = (row.astype(np.float64) for row in srt[:3])
     pair = c1 + c2
     triple = pair + c3
-    return np.where(c3 > heuristic_factor * c2, pair / 2.0, triple / 3.0)
+    # c2 is float64, so the product is too; a product past the float64 range
+    # is inf, the exact outcome of the comparison
+    with np.errstate(over="ignore"):
+        outlier = c3 > heuristic_factor * c2
+    return np.where(outlier, pair / 2.0, triple / 3.0)
 
 
 def fuse(
@@ -76,20 +86,26 @@ def fuse(
     strategy: FusionStrategy,
     heuristic_factor: float = 3.0,
 ) -> CostVolume:
-    """Reduce per-view cost volumes to a single volume, cell by cell."""
+    """Reduce per-view cost volumes to a single volume, cell by cell.
+
+    heuristic_factor must be positive and finite.
+    """
     if not isinstance(strategy, FusionStrategy):
         raise InputError(f"unknown fusion strategy {strategy!r}")
     check_volumes(volumes, "fuse")
-    if not heuristic_factor > 0:
-        raise InputError(f"heuristic_factor must be positive, got {heuristic_factor}")
+    if not 0 < heuristic_factor < np.inf:
+        raise InputError(f"heuristic_factor must be positive and finite, got {heuristic_factor}")
     first = volumes[0]
     if len(volumes) == 1:
         return CostVolume(first.costs.copy(), first.d_min, first.d_max)
 
     fused = np.empty_like(first.costs)
+    rows = list(np.empty((len(volumes),) + first.costs.shape[1:], dtype=np.float32))
     for k in range(first.num_disparities):
-        srt = _order_cells(np.stack([v.costs[k] for v in volumes]))
-        fused[k] = _fuse_slice(srt, strategy, heuristic_factor)
+        for row, v in zip(rows, volumes):
+            row[...] = v.costs[k]
+        _order_cells(rows)
+        fused[k] = _fuse_slice(rows, strategy, heuristic_factor)
     return CostVolume(fused, first.d_min, first.d_max)
 
 

@@ -496,6 +496,52 @@ def test_gc_rejects_bad_energy_weight(tmp_path, capsys, flags, what):
     assert not (out / "disp.pfm").exists()
 
 
+@pytest.mark.parametrize("factor", ["inf", "-inf", "nan", "0"])
+def test_bad_heuristic_factor_rejected(tmp_path, capsys, factor):
+    data = _synth(tmp_path)
+    costs = tmp_path / "c"
+    assert run(["cost", "--in", str(data / "scene_0000"), "--rho", "1",
+                "--d-max", "3", "--out", str(costs)]) == 0
+    capsys.readouterr()
+    vols = [str(v) for v in sorted(costs.glob("cost_*.mcv"))]
+    out = tmp_path / "out"
+    for argv in (
+        ["disparity", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+         "--out", str(out)],
+        ["fuse", "--volumes", *vols, "--out", str(out / "fused.mcv")],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + [f"--heuristic-factor={factor}"]) == 1
+        _assert_plain_error(capsys, "heuristic_factor")
+        assert not out.exists()
+
+
+def test_overflowing_heuristic_factor_is_silent(tmp_path):
+    # 1e308 * c2 overflows to inf wherever c2 > 1.8; c3 > inf is False
+    # there, as it is for any factor above the largest cost ratio
+    data = _synth(tmp_path)
+    outs = []
+    for factor in ("1e308", "1e30"):
+        out = tmp_path / factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1",
+                        "--d-max", "3", "--heuristic-factor", factor, "--out", str(out)]) == 0
+        outs.append((out / "disp.pfm").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_disparity_with_one_disparity_zero(tmp_path):
+    # [0, 0] is a valid range: the Jet rendering must not refuse it
+    data = _synth(tmp_path)
+    out = tmp_path / "d0"
+    assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1",
+                "--d-min", "0", "--d-max", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["disp.pfm", "disp_jet.ppm", "run.txt"]
+    assert (read_image(str(out / "disp.pfm")).values == 0).all()
+
+
 def test_missing_input_reports_error(capsys):
     assert run(["disparity", "--out", "x"]) == 1
     err = capsys.readouterr().err

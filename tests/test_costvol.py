@@ -130,6 +130,20 @@ def test_sad_bit_exact_on_small_and_thin_float_images(direction, h, w, rho, d_ma
         assert (got.costs[span:] == LARGE_COST).all()
 
 
+@pytest.mark.parametrize("direction", DIRS)
+def test_sad_padding_bounded_by_the_image(direction):
+    # padding by rho + d_max on both axes would need a ~40 GB plane here;
+    # the shifted target is padded by at most the image's own extent
+    rng = np.random.default_rng(50)
+    ref, tgt = _float_image(rng, 3, 5), _float_image(rng, 3, 5)
+    got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=1, d_min=0, d_max=50_000))
+    assert got.costs.shape == (50_001, 3, 5)
+    span = 5 if direction in (Direction.LEFT, Direction.RIGHT) else 3
+    want = sad_oracle(ref.pixels, tgt.pixels, direction.value, 1, 0, span, exact_f32=True)
+    np.testing.assert_array_equal(got.costs[: span + 1], want)
+    assert (got.costs[span:] == LARGE_COST).all()
+
+
 def test_sad_mirror_duality():
     # mirroring both images horizontally swaps LEFT and RIGHT
     rng = np.random.default_rng(5)

@@ -121,6 +121,9 @@ def test_fusion_input_validation():
         fuse([a, c], FusionStrategy.MEAN)
     with pytest.raises(InputError):
         fuse([a, a], FusionStrategy.HEURISTIC, heuristic_factor=0.0)
+    for factor in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InputError, match="heuristic_factor"):
+            fuse([a, a, a], FusionStrategy.HEURISTIC, heuristic_factor=factor)
     for vols in ([a], [a, a], [a, a, a]):  # checked before any volume is read
         with pytest.raises(InputError, match="unknown fusion strategy"):
             fuse(vols, "mean")
@@ -169,6 +172,29 @@ def test_fusion_bytes_match_stable_sort_reference(n, strategy):
             want = _sort_reference(stack, strategy, factor)
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_fusion_bytes_match_stable_sort_reference_with_ties(n, strategy):
+    # full-size slices whose costs come from a few integer levels, so most
+    # cells hold ties, with LARGE_COST cells and -0.0 cells among them
+    rng = np.random.default_rng(60 + n)
+    levels = np.array([-0.0, 0.0, 1.0, 2.0, 5.0, 7.0, LARGE_COST], dtype=np.float32)
+    stack = levels[rng.choice(len(levels), size=(n, 3, 64, 72), p=[0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1])]
+    for factor in (3.0, 0.5, 1e308):
+        got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
+        with np.errstate(over="ignore"):
+            want = _sort_reference(stack, strategy, factor)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fusion_overflowing_factor_is_exact_and_silent():
+    # factor * c2 overflows to inf for the second cell: the exact answer
+    # to c3 > factor * c2 is False there, and no warning is raised
+    vols = [_vol(np.array([[[0.0, 2.0]]])), _vol(np.array([[[0.0, 3.0]]])), _vol(np.array([[[1.0, 4.0]]]))]
+    got = fuse(vols, FusionStrategy.HEURISTIC, heuristic_factor=1e308).costs
+    np.testing.assert_array_equal(got, np.array([[[0.0, 3.0]]], dtype=np.float32))
 
 
 # ------------------------------------------------------------------- WTA
