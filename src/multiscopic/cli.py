@@ -247,8 +247,12 @@ def _cmd_train(args) -> int:
         mset, gt = load_scene(sdir)
         if gt is None:
             raise InputError(f"{sdir}: no gt.pfm; cannot train")
-        volumes = costvol.multiscopic_volumes(mset, args.matcher, bm)
         mask = gt.valid_mask & (gt.values >= bm.d_min) & (gt.values <= bm.d_max)
+        if not mask.any():
+            raise InputError(
+                f"{sdir}: no ground-truth pixel in the disparity range [{bm.d_min}, {bm.d_max}]"
+            )
+        volumes = costvol.multiscopic_volumes(mset, args.matcher, bm)
         dataset.append((volumes, gt, mask))
     cfg = net.TrainConfig(
         learning_rate=args.lr,

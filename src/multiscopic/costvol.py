@@ -167,17 +167,21 @@ def bt_cost_volume(
     at borders); the cost is max{0, ref - I_max, I_min - ref}, zero whenever
     the reference intensity lies inside the interval.  One-sided: only the
     target is interpolated.  The block radius is not used.
+
+    The neighbour samples are slices of one copy of the target edge-padded
+    by 1.  Each disparity's cost is computed only on its in-bounds window
+    (the cells it keeps), where the shifted interval planes are plain slices
+    of lo and hi: no shift there clamps, so no padding is needed.
     """
     _check_pair(ref, target)
     a = ref.pixels
     b = target.pixels
     height, width = a.shape
-    ys = np.arange(height)
-    xs = np.arange(width)
 
+    b_pad = np.pad(b, 1, mode="edge")
     cand = np.empty((len(BT_NEIGHBORHOOD), height, width), dtype=np.float32)
     for i, (sx, sy) in enumerate(BT_NEIGHBORHOOD):
-        shifted = b[np.clip(ys + sy, 0, height - 1)][:, np.clip(xs + sx, 0, width - 1)]
+        shifted = b_pad[1 + sy : 1 + sy + height, 1 + sx : 1 + sx + width]
         cand[i] = np.float32(0.5) * (b + shifted)
     lo = cand.min(axis=0)
     hi = cand.max(axis=0)
@@ -185,15 +189,13 @@ def bt_cost_volume(
     out = np.full((p.num_disparities, height, width), LARGE_COST, dtype=np.float32)
     zero = np.float32(0.0)
     for k in range(p.num_disparities):
-        d = p.d_min + k
-        ox, oy = direction.offset(d)
-        rows = np.clip(ys + oy, 0, height - 1)
-        cols = np.clip(xs + ox, 0, width - 1)
-        lo_s = lo[rows][:, cols]
-        hi_s = hi[rows][:, cols]
-        cost = np.maximum(zero, np.maximum(a - hi_s, lo_s - a))
-        win = _inbounds_window(height, width, ox, oy)
-        out[k][win] = cost[win]
+        ox, oy = direction.offset(p.d_min + k)
+        rows, cols = _inbounds_window(height, width, ox, oy)
+        if rows.start >= rows.stop or cols.start >= cols.stop:
+            continue
+        moved = (slice(rows.start + oy, rows.stop + oy), slice(cols.start + ox, cols.stop + ox))
+        a_w = a[rows, cols]
+        out[k, rows, cols] = np.maximum(zero, np.maximum(a_w - hi[moved], lo[moved] - a_w))
     return CostVolume(out, p.d_min, p.d_max)
 
 

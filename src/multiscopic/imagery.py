@@ -175,14 +175,23 @@ _JET_POS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _JET_R = np.array([0.0, 0.0, 0.0, 255.0, 255.0])
 _JET_G = np.array([0.0, 255.0, 255.0, 255.0, 0.0])
 _JET_B = np.array([255.0, 255.0, 0.0, 0.0, 0.0])
+_F32 = np.finfo(np.float32)
+_F32_MAX = float(_F32.max)
 
 
 def colorize_jet(disparity: DisparityMap, d_max: float) -> ColorImage:
-    """Render a disparity map through the Jet ramp; invalid pixels come out black."""
-    if not d_max > 0:
-        raise InputError("d_max must be positive")
+    """Render a disparity map through the Jet ramp; invalid pixels come out black.
+
+    The ramp position is computed in float32, so d_max must be a positive
+    float32 value.  One below float32's smallest step counts as that step;
+    quotients past the float32 range clip to the ramp end as any above 1 do.
+    """
+    if not 0 < d_max <= _F32_MAX:
+        raise InputError(f"d_max must be positive and at most {_F32_MAX:g}, got {d_max}")
     valid = disparity.valid_mask
-    t = np.clip(np.where(valid, disparity.values, 0.0) / d_max, 0.0, 1.0)
+    step = max(np.float32(d_max), _F32.smallest_subnormal)
+    with np.errstate(over="ignore"):
+        t = np.clip(np.where(valid, disparity.values, 0.0) / step, 0.0, 1.0)
     rgb = np.empty(t.shape + (3,), dtype=np.uint8)
     for c, ramp in enumerate((_JET_R, _JET_G, _JET_B)):
         chan = np.rint(np.interp(t, _JET_POS, ramp)).astype(np.uint8)

@@ -10,6 +10,20 @@ The convolution works on flat shifts: the zero-padded input is split into
 stride^3 phase grids (one for stride 1) flattened on one common layout, so
 every kernel offset is a (phase, flat offset) pair and the convolution is
 one small GEMM per offset on a strided view, with no column matrix.
+
+The flat run is walked in column blocks of about _BLOCK_BYTES of input (in
+the backward, of the wider of input and output), and all k^3 offsets of one
+block run before the next block starts.  So each offset's GEMM reads a
+block that the previous offsets left in cache, where an unblocked run streams
+the whole run from memory k^3 times.  The block width follows from the byte
+budget and the channel count, never from a fixed column count.
+
+Results are rounding-level, not bit-for-bit, equal to an unblocked run: BLAS
+picks other kernels for other GEMM widths (at FusionNet shapes the 1-row
+float32 head and the 16-channel float64 dec forward differ in the last bits;
+the other forwards are equal), dW sums its blocks in turn, and dx adds an
+input cell's taps in block order (relative differences ~1e-7 in float32,
+~1e-15 in float64).  Reruns on the same input give the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+
+# Bytes of one column block.  Measured on FusionNet layer shapes on a 2-core
+# Xeon with 2 MiB of L2 per core: 64 KiB gained nothing (per-call overhead),
+# 256 KiB left the 16-channel float64 layer slower than no blocking, and
+# 512 KiB or more lost most of the float32 gain.
+_BLOCK_BYTES = 384 * 1024
+_MIN_BLOCK_COLS = 256
 
 
 def _phase_layout(shape, k: int, stride: int, pad: int):
@@ -41,6 +62,13 @@ def _phase_layout(shape, k: int, stride: int, pad: int):
     return (d_out, h_out, w_out), (dq, hq, wq), span, taps
 
 
+def _blocks(span: int, channels: int, dtype) -> list[tuple[int, int]]:
+    """Column ranges (c0, c1) covering [0, span), each about _BLOCK_BYTES of
+    `channels` rows of `dtype`, and at least _MIN_BLOCK_COLS wide."""
+    width = max(_MIN_BLOCK_COLS, _BLOCK_BYTES // (channels * np.dtype(dtype).itemsize))
+    return [(c0, min(c0 + width, span)) for c0 in range(0, span, width)]
+
+
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.  np.matmul runs an inner dimension of 1 (an outer product) in a
     plain C loop several times slower than BLAS; the broadcast product is
@@ -60,8 +88,11 @@ def conv3d_forward(
     (dz, dy, dx) reads its phase at that index plus one fixed flat offset.
     So the output is the sum of k^3 GEMMs W_o @ phase[:, off_o : off_o + span],
     accumulated in one flat run whose wrap-around columns are cropped at the
-    end.  The cache keeps the phases (about the size of the padded input)
-    for the backward.
+    end.  The run is cut into column blocks [c0, c1) sized from C_in (see the
+    module docstring); each block takes all k^3 GEMMs
+    W_o @ phase[:, off_o + c0 : off_o + c1] before the next one starts.  The
+    cache keeps the phases (about the size of the padded input) for the
+    backward; its entry 1 is `w` itself.
     """
     c_in, d, h, wd = x.shape
     c_out, c_in2, k, k2, k3 = w.shape
@@ -78,9 +109,10 @@ def conv3d_forward(
     )
     w_taps = w.transpose(2, 3, 4, 0, 1).reshape(k**3, c_out, c_in)
     acc = np.zeros((c_out, d_out * hq * wq), dtype=np.result_type(x, w))
-    run = acc[:, :span]
-    for w_o, (p, off) in zip(w_taps, taps):
-        run += _gemm(w_o, phases[p, :, off : off + span])
+    for c0, c1 in _blocks(span, c_in, acc.dtype):
+        block = acc[:, c0:c1]
+        for w_o, (p, off) in zip(w_taps, taps):
+            block += _gemm(w_o, phases[p, :, off + c0 : off + c1])
     out = acc.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] + b[:, None, None, None]
     cache = (x.shape, w, stride, pad, phases)
     return out, cache
@@ -90,8 +122,10 @@ def conv3d_backward(grad_out: np.ndarray, cache):
     """Returns (dx, dw, db) for conv3d_forward, in grad_out's dtype.
 
     The mirror of the forward on the same flat layout: grad_out is spread
-    onto the output run (zeros in the cropped columns), then per kernel
-    offset dW_o = g @ view_o.T and dphase[view_o] += W_o.T @ g.
+    onto the output run (zeros in the cropped columns), then per column
+    block g[:, c0:c1] (sized from max(C_in, C_out)) and kernel offset
+    dW_o += g_blk @ view_o.T and dphase[view_o] += W_o.T @ g_blk, where
+    view_o = phase[:, off_o + c0 : off_o + c1].
     """
     x_shape, w, stride, pad, phases = cache
     c_in, d, h, wd = x_shape
@@ -100,15 +134,16 @@ def conv3d_backward(grad_out: np.ndarray, cache):
     s = stride
     g_flat = np.zeros((c_out, d_out * hq * wq), dtype=grad_out.dtype)
     g_flat.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] = grad_out
-    g = g_flat[:, :span]
     db = grad_out.reshape(c_out, -1).sum(axis=1)
 
     w_taps = w.transpose(2, 3, 4, 0, 1).reshape(k**3, c_out, c_in)
-    dw_taps = np.empty(w_taps.shape, dtype=grad_out.dtype)
+    dw_taps = np.zeros(w_taps.shape, dtype=grad_out.dtype)
     dphases = np.zeros(phases.shape, dtype=grad_out.dtype)
-    for o, (p, off) in enumerate(taps):
-        dw_taps[o] = _gemm(g, phases[p, :, off : off + span].T)
-        dphases[p, :, off : off + span] += _gemm(w_taps[o].T, g)
+    for c0, c1 in _blocks(span, max(c_in, c_out), g_flat.dtype):
+        g = g_flat[:, c0:c1]
+        for o, (p, off) in enumerate(taps):
+            dw_taps[o] += _gemm(g, phases[p, :, off + c0 : off + c1].T)
+            dphases[p, :, off + c0 : off + c1] += _gemm(w_taps[o].T, g)
     dw = dw_taps.reshape(k, k, k, c_out, c_in).transpose(3, 4, 0, 1, 2).copy()
 
     dxq = (

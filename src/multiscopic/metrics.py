@@ -28,6 +28,13 @@ class MetricsReport:
     count: int  # jointly valid pixels behind rms/avg_err
 
 
+def _check_thresholds(thresholds) -> None:
+    """A Bad threshold is an error bound in pixels: finite and >= 0."""
+    for t in thresholds:
+        if not (np.isfinite(t) and t >= 0):
+            raise InputError(f"bad-pixel threshold must be finite and >= 0, got {t}")
+
+
 def evaluate(
     pred: DisparityMap,
     gt: DisparityMap,
@@ -35,6 +42,7 @@ def evaluate(
     penalize_invalid: bool = True,
 ) -> MetricsReport:
     """Compare a prediction against ground truth."""
+    _check_thresholds(thresholds)
     if pred.values.shape != gt.values.shape:
         raise InputError(
             f"shape mismatch: pred {pred.values.shape} vs gt {gt.values.shape}"
@@ -100,6 +108,7 @@ def evaluate_dataset(
     """
     if not pairs:
         raise InputError("no prediction/ground-truth pairs")
+    _check_thresholds(thresholds)
     if names is None:
         names = [f"{i:04d}" for i in range(len(pairs))]
     reports = []

@@ -318,8 +318,10 @@ class TrainConfig:
     norm_mode: str = "standardize"
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InputError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
         if self.norm_mode not in NORM_MODES:
@@ -340,7 +342,7 @@ def train(
 
     Fully deterministic given cfg.rng_seed (initialization and the per-epoch
     sample order both derive from it).  Aborts with TrainingError if a loss
-    turns non-finite.
+    turns non-finite or an Adam step leaves a parameter non-finite.
     """
     if not dataset:
         raise InputError("training dataset is empty")
@@ -357,25 +359,35 @@ def train(
         epoch_losses = []
         for idx in order:
             volumes, gt, mask = dataset[idx]
-            loss, grads = backward(net, volumes, gt, mask)
-            if not np.isfinite(loss):
+            # A large finite rate can overflow a step, or the next forward;
+            # the two checks below report that by name instead of as NumPy
+            # warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = backward(net, volumes, gt, mask)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, sample {int(idx)}"
+                    )
+                epoch_losses.append(loss)
+                step += 1
+                bc1 = 1.0 - _ADAM_B1**step
+                bc2 = 1.0 - _ADAM_B2**step
+                for name, arr in params:
+                    g = grads[name]
+                    m = m_state[name]
+                    v = v_state[name]
+                    m *= _ADAM_B1
+                    m += (1.0 - _ADAM_B1) * g
+                    v *= _ADAM_B2
+                    v += (1.0 - _ADAM_B2) * g * g
+                    arr -= (
+                        cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+                    ).astype(arr.dtype)
+            bad = _non_finite_parameter(params)
+            if bad is not None:
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, sample {int(idx)}"
-                )
-            epoch_losses.append(loss)
-            step += 1
-            bc1 = 1.0 - _ADAM_B1**step
-            bc2 = 1.0 - _ADAM_B2**step
-            for name, arr in params:
-                g = grads[name]
-                m = m_state[name]
-                v = v_state[name]
-                m *= _ADAM_B1
-                m += (1.0 - _ADAM_B1) * g
-                v *= _ADAM_B2
-                v += (1.0 - _ADAM_B2) * g * g
-                arr -= (cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)).astype(
-                    arr.dtype
+                    f"parameter {bad} non-finite after the Adam step at epoch {epoch}, "
+                    f"sample {int(idx)}"
                 )
         log.append(float(np.mean(epoch_losses)))
     return net, log

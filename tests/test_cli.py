@@ -626,3 +626,50 @@ def test_console_entry_point(tmp_path):
 )
 def test_installed_console_script(tmp_path):
     _assert_behaves_like_run(["multiscopic"], tmp_path)
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--lr", "inf"], "learning_rate"),
+    (["--lr", "1e308"], "parameter stem1.w non-finite after the Adam step at epoch 0"),
+    (["--d-min", "5", "--d-max", "5"], "scene_0000: no ground-truth pixel in the disparity range [5, 5]"),
+], ids=["lr-inf", "lr-overflow", "empty-range"])
+def test_train_rejects_bad_run_without_warnings(tmp_path, capsys, flags, what):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "model"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["train", "--data", str(data), "--rho", "1", "--d-max", "3",
+                    "--epochs", "1", "--out", str(out / "net.mfn"), *flags])
+    assert code == 1
+    _assert_plain_error(capsys, what)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["eval", "--bad", "nan"], "threshold"),
+    (["eval", "--bad", "-1"], "threshold"),
+    (["eval", "--bad", "inf"], "threshold"),
+    (["colorize", "--d-max", "inf"], "d_max"),
+], ids=["bad-nan", "bad-negative", "bad-inf", "d-max-inf"])
+def test_eval_and_colorize_reject_meaningless_values(tmp_path, capsys, argv, what):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    gt = str(data / "scene_0000" / "gt.pfm")
+    out = tmp_path / "out.txt"
+    io_flags = {"eval": ["--pred", gt, "--gt", gt], "colorize": ["--in", gt]}[argv[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([argv[0], *io_flags, *argv[1:], "--out", str(out)]) == 1
+    _assert_plain_error(capsys, what)
+    assert not out.exists()
+
+
+def test_colorize_tiny_d_max_is_silent(tmp_path):
+    data = _synth(tmp_path)
+    out = tmp_path / "jet.ppm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["colorize", "--in", str(data / "scene_0000" / "gt.pfm"),
+                    "--d-max", "1e-300", "--out", str(out)]) == 0
+    assert read_image(str(out)).pixels.shape == (12, 16, 3)

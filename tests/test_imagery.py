@@ -2,6 +2,7 @@
 
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,23 @@ def test_colorize_jet_clamps_and_validates():
     assert rgb2[0, 1].tolist() == [255, 0, 0]
     with pytest.raises(InputError):
         colorize_jet(d2, 0.0)
+
+
+@pytest.mark.parametrize("d_max", [float("inf"), float("nan"), -1.0, 1e39])
+def test_colorize_jet_rejects_meaningless_d_max(d_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="d_max must be positive"):
+            colorize_jet(DisparityMap(np.ones((1, 2), np.float32)), d_max)
+
+
+@pytest.mark.parametrize("d_max", [1e-300, 1e-40, 3.4e38])
+def test_colorize_jet_extreme_d_max_is_silent(d_max):
+    # below float32's smallest step every positive disparity is past the
+    # ramp end; near float32's largest value every one is at its start
+    d = DisparityMap(np.array([[0.0, 1e-3, 60.0, np.inf]], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rgb = colorize_jet(d, d_max).pixels[0].tolist()
+    far = [255, 0, 0] if d_max < 1 else [0, 0, 255]
+    assert rgb == [[0, 0, 255], far, far, [0, 0, 0]]

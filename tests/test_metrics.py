@@ -174,3 +174,17 @@ def test_table_layout():
 def test_dataset_requires_pairs():
     with pytest.raises(InputError):
         evaluate_dataset([])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_meaningless_threshold_rejected(bad):
+    pair = (_dm([[1.0]]), _dm([[1.5]]))
+    for call in (lambda: evaluate(*pair, thresholds=(1.0, bad)),
+                 lambda: evaluate_dataset([pair], thresholds=(bad,))):
+        with pytest.raises(InputError, match=f"threshold must be finite and >= 0, got {bad}"):
+            call()
+
+
+def test_zero_threshold_counts_every_error():
+    rep = evaluate(_dm([[1.0, 2.5]]), _dm([[1.0, 2.0]]), thresholds=(0.0,))
+    assert rep.bad[0.0] == pytest.approx(50.0)

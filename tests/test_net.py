@@ -1,5 +1,7 @@
 """Fusion network: forward semantics, analytic gradients, training, format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,10 @@ from multiscopic.layers import (
     upsample_nearest_backward,
     upsample_nearest_forward,
 )
+from multiscopic import layers
 from multiscopic.net import normalize_volume
 
-from oracles import conv3d_oracle
+from oracles import conv3d_oracle, conv3d_reference
 
 
 def _vol(arr, d_min=1):
@@ -113,6 +116,46 @@ def test_conv3d_backward_finite_difference():
                 flat[i] = old
                 num = (up - dn) / (2 * eps)
                 assert grad.reshape(-1)[i] == pytest.approx(num, rel=1e-5, abs=1e-7)
+
+
+# (C_in, C_out, (D, H, W), stride): flat output runs that span three or more
+# column blocks and end inside one, in the forward (blocks sized from C_in)
+# and in the backward (sized from max(C_in, C_out)), for both dtypes.
+_BLOCKED_CASES = [
+    (1, 4, (12, 66, 254), 1),
+    (1, 4, (50, 126, 254), 2),
+    (16, 8, (8, 24, 60), 1),
+    (16, 8, (30, 62, 62), 2),
+]
+
+
+@pytest.mark.parametrize("c_in, c_out, dims, stride", _BLOCKED_CASES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv3d_across_column_blocks(c_in, c_out, dims, stride, dtype):
+    shape = (c_in,) + dims
+    span = layers._phase_layout(shape, 3, stride, 1)[2]
+    for channels in (c_in, max(c_in, c_out)):
+        blocks = layers._blocks(span, channels, dtype)
+        assert len(blocks) >= 3 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
+    rng = np.random.default_rng(c_in * 10 + stride)
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, 3, 3, 3)).astype(dtype)
+    out, cache = conv3d_forward(x, w, np.zeros(c_out, dtype), stride=stride)
+    want = conv3d_reference(x, w, np.zeros(c_out), stride=stride)
+    # float32 sums 27 * C_in unit-scale products: a few ulps of ~sqrt(27 * C_in).
+    tol = 1e-4 if dtype == np.float32 else 1e-10
+    np.testing.assert_allclose(out, want, rtol=tol, atol=tol)
+
+    # The backward is the adjoint of the forward, which is linear in x and
+    # in w: <conv(x, w), g> = <x, dx> = <w, dw>.
+    g = rng.standard_normal(out.shape).astype(dtype)
+    dx, dw, db = conv3d_backward(g, cache)
+    f64 = np.float64
+    lhs = float((want * g).sum())
+    scale = float(np.abs(want * g).sum())
+    assert float((x.astype(f64) * dx).sum()) == pytest.approx(lhs, abs=tol * scale)
+    assert float((w.astype(f64) * dw).sum()) == pytest.approx(lhs, abs=tol * scale)
+    np.testing.assert_allclose(db, g.reshape(c_out, -1).sum(axis=1, dtype=f64), rtol=tol)
 
 
 def test_layer_ops_keep_float32():
@@ -353,6 +396,20 @@ def test_train_aborts_on_non_finite_loss():
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingError):
             train([sample], TrainConfig(epochs=1), net=net)
+
+
+@pytest.mark.parametrize("lr", [float("inf"), float("nan"), -1e-3, 0.0])
+def test_train_config_rejects_meaningless_learning_rate(lr):
+    with pytest.raises(InputError, match=f"learning_rate must be finite and positive, got {lr}"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_train_names_parameter_an_overflowing_step_breaks():
+    # a finite rate whose first Adam step leaves stem1.w at +-inf in float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match=r"parameter stem1\.w .* epoch 0, sample 0"):
+            train([_sample(seed=25)], TrainConfig(learning_rate=1e308), net=init_network(26))
 
 
 def test_train_rejects_empty_dataset():

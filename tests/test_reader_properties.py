@@ -4,6 +4,9 @@
   and `1e308`, deleted runs) of a valid file either decode to a container
   that keeps its value contract or raise FormatError/UnsupportedError
   naming the file.  Any other exception fails.
+* Files whose headers claim huge sizes are rejected by a process whose
+  address space is capped, so no reader sizes an allocation from a header
+  field before checking it against the bytes present.
 * Random valid containers survive write -> read.  Non-finite values follow
   each format's contract: PFM stores them as invalid (+inf); .mcv costs and
   .mfn weights are refused on write and on read.
@@ -11,7 +14,11 @@
 Examples are derandomized, so a run always draws the same cases.
 """
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import multiscopic
 from multiscopic import (
     ColorImage,
     CostVolume,
@@ -210,3 +218,63 @@ def test_mfn_round_trip_and_weight_contract(tmp_path, seed, where, bad):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=f"parameter {name} is not finite"):
         load_net(path)
+
+
+# Run in a child process whose address space is capped at its size after the
+# imports plus 256 MiB, so a reader that sized an allocation from a header
+# field would hit MemoryError instead of succeeding on lazily mapped pages.
+_BOUNDED_READER = """\
+import resource, sys
+import numpy as np
+from multiscopic import FormatError, UnsupportedError, load_volume, read_image
+from multiscopic.net import load_net
+
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (vm + (256 << 20), resource.RLIM_INFINITY))
+try:
+    np.ones(1 << 30, dtype=np.uint8)
+    print("unbounded")
+except MemoryError:
+    print("bounded")
+for path in sys.argv[1:]:
+    reader = {"mcv": load_volume, "mfn": load_net}.get(path.rsplit(".", 1)[1], read_image)
+    try:
+        reader(path)
+        print("decoded")
+    except (FormatError, UnsupportedError):
+        print("rejected")
+    except MemoryError:
+        print("MemoryError")
+"""
+
+_HUGE = 65535
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_hostile_headers_are_rejected_in_bounded_memory(tmp_path):
+    hostile = {
+        "p5.pgm": b"P5\n%d %d\n255\n" % (_HUGE, _HUGE) + bytes(16),
+        "p2.pgm": b"P2\n%d %d\n255\n" % (_HUGE, _HUGE) + b"1 2 3\n" * 64,
+        "p6.ppm": b"P6\n%d %d\n255\n" % (_HUGE, _HUGE) + bytes(16),
+        "pf.pfm": b"Pf\n%d %d\n-1\n" % (_HUGE, _HUGE) + bytes(16),
+        "dmax.mcv": struct.pack("<4siiii", b"MCV1", 0, 2**31 - 1, 64, 64) + bytes(16),
+        "layers.mfn": b"MFN1" + struct.pack("<IBI", 1, 0, 2**32 - 1) + bytes(64),
+    }
+    paths = []
+    for name, data in hostile.items():
+        (tmp_path / name).write_bytes(data)
+        paths.append(str(tmp_path / name))
+    # A valid file of each reader's kind still decodes under the cap.
+    write_image(tmp_path / "ok.pfm", DisparityMap(np.ones((64, 64), np.float32)))
+    save_volume(tmp_path / "ok.mcv", CostVolume(np.ones((4, 64, 64), np.float32), 1, 4))
+    save_net(init_network(0), tmp_path / "ok.mfn")
+    paths += [str(tmp_path / n) for n in ("ok.pfm", "ok.mcv", "ok.mfn")]
+
+    src_root = str(Path(multiscopic.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + inherited if inherited else ""))
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_READER, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["bounded"] + ["rejected"] * 6 + ["decoded"] * 3, proc.stdout
