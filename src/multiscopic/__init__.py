@@ -34,11 +34,12 @@ from .costvol import (
     CostVolume,
     bt_cost_volume,
     load_volume,
+    multiscopic_slices,
     multiscopic_volumes,
     sad_cost_volume,
     save_volume,
 )
-from .fusion import FusionStrategy, fuse, wta_disparity
+from .fusion import FusionStrategy, fuse, fuse_slices, wta_disparity, wta_slices
 from .maxflow import FlowGraph, max_flow
 from .graphcut import (
     OCCLUDED,

@@ -1,7 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, cost, fuse, disparity, gc, train, infer, eval, colorize.
-`disparity` is cost -> fuse (mean, min or heuristic) -> WTA; the fusion
+`disparity` is cost -> fuse (mean, min or heuristic) -> WTA, run one
+disparity slice at a time so no cost volume is ever held; the fusion
 network runs only through `infer`, on weights written by `train`.
 Every hyperparameter is a flag; an optional key=value config file supplies
 defaults (flags win).  Only the commands that draw random numbers (synth,
@@ -165,10 +166,6 @@ def _add_inputs(p: _Parser):
     p.add_argument("--bottom")
 
 
-def _fuse(volumes, args):
-    return fusion.fuse(volumes, fusion.FusionStrategy(args.fusion), args.heuristic_factor)
-
-
 def _write_disparity(command: str, args, dmap: DisparityMap) -> int:
     """disp.pfm, its Jet rendering and run.txt under --out."""
     # the ramp spans [0, d_max]; a [0, 0] range puts its zeros at its start
@@ -218,7 +215,9 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    fused = _fuse([costvol.load_volume(p) for p in args.volumes], args)
+    volumes = [costvol.load_volume(p) for p in args.volumes]
+    costvol.check_volumes(volumes, "fuse", args.volumes)
+    fused = fusion.fuse(volumes, fusion.FusionStrategy(args.fusion), args.heuristic_factor)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     costvol.save_volume(out, fused)
@@ -227,8 +226,12 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_disparity(args) -> int:
-    volumes = costvol.multiscopic_volumes(_input_set(args), args.matcher, _bm_params(args))
-    dmap = fusion.wta_disparity(_fuse(volumes, args), bool(args.subpixel))
+    # one disparity at a time: matcher slices -> fusion -> running-argmin WTA
+    slices = costvol.multiscopic_slices(_input_set(args), args.matcher, _bm_params(args))
+    fused = fusion.fuse_slices(
+        slices, fusion.FusionStrategy(args.fusion), args.heuristic_factor
+    )
+    dmap = fusion.wta_slices(fused, args.d_min, bool(args.subpixel))
     return _write_disparity("disparity", args, dmap)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -77,15 +77,25 @@ class CostVolume:
         return self.costs.shape[2]
 
 
-def check_volumes(volumes: list[CostVolume], caller: str):
+def check_volumes(volumes: list[CostVolume], caller: str, names: list | None = None):
     """Raise InputError unless there is a volume and all volumes share one
-    shape and disparity range; caller names the step in the message."""
+    disparity range and shape; caller names the step in the message, and
+    names (default: positions) name the volumes."""
     if not volumes:
         raise InputError(f"{caller} needs at least one volume")
+    names = names or [f"{caller} volume {i}" for i in range(len(volumes))]
     first = volumes[0]
-    for v in volumes[1:]:
-        if v.costs.shape != first.costs.shape or (v.d_min, v.d_max) != (first.d_min, first.d_max):
-            raise InputError("volumes differ in shape or disparity range")
+    for name, v in zip(names[1:], volumes[1:]):
+        if (v.d_min, v.d_max) != (first.d_min, first.d_max):
+            raise InputError(
+                f"{name}: disparity range [{v.d_min}, {v.d_max}] differs from "
+                f"{names[0]}'s [{first.d_min}, {first.d_max}]"
+            )
+        if v.costs.shape != first.costs.shape:
+            raise InputError(
+                f"{name}: shape (D, H, W) {v.costs.shape} differs from "
+                f"{names[0]}'s {first.costs.shape}"
+            )
 
 
 def _check_pair(ref: Image, target: Image):
@@ -103,10 +113,22 @@ def _inbounds_window(height: int, width: int, ox: int, oy: int) -> tuple[slice, 
     return rows, cols
 
 
-def sad_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """Sum of absolute differences over a (2*rho+1)^2 block.
+def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
+    """Write LARGE_COST to every cell of out outside the rows x cols window."""
+    out[: rows.start] = LARGE_COST
+    out[rows.stop :] = LARGE_COST
+    out[:, : cols.start] = LARGE_COST
+    out[:, cols.stop :] = LARGE_COST
+
+
+# A matcher set up for one view: write(k, out) stores the (H, W) float32
+# costs of disparity d_min + k in out, every cell of it.
+SliceWriter = Callable[[int, np.ndarray], None]
+
+
+def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
+    """Sum of absolute differences over a (2*rho+1)^2 block, one disparity
+    slice per call of the returned writer.
 
     Block coordinates clamp at image borders.  The reference is edge-padded
     by rho on every side once.  The target is edge-padded once too: by rho
@@ -135,12 +157,13 @@ def sad_cost_volume(
     acc = np.empty(height * pw, dtype=np.float32)
     run = acc[: height * pw - 2 * r]
     sums = acc.reshape(height, pw)[:, :width]
-    out = np.full((p.num_disparities, height, width), LARGE_COST, dtype=np.float32)
 
-    for k in range(p.num_disparities):
+    def write(k: int, out: np.ndarray) -> None:
         ox, oy = direction.offset(p.d_min + k)
-        if abs(ox) >= width or abs(oy) >= height:
-            continue
+        rows, cols = _inbounds_window(height, width, ox, oy)
+        _fill_outside(out, rows, cols)
+        if rows.start >= rows.stop or cols.start >= cols.stop:
+            return
         y0, x0 = py - r + oy, px - r + ox
         np.subtract(a_pad, b_pad[y0 : y0 + height + 2 * r, x0 : x0 + pw], out=diff)
         np.abs(diff, out=diff)
@@ -151,16 +174,15 @@ def sad_cost_volume(
         for dy in range(2 * r + 1):
             for dx in range(2 * r + 1):
                 start = dy * pw + dx
-                run += flat[start : start + run.size]
-        win = _inbounds_window(height, width, ox, oy)
-        out[k][win] = sums[win]
-    return CostVolume(out, p.d_min, p.d_max)
+                np.add(run, flat[start : start + run.size], out=run)
+        out[rows, cols] = sums[rows, cols]
+
+    return write
 
 
-def bt_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """Sampling-insensitive pixel dissimilarity against the target image.
+def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
+    """Sampling-insensitive pixel dissimilarity against the target image,
+    one disparity slice per call of the returned writer.
 
     Around each target sample q the half-sample candidates 0.5*(I(q)+I(q+s))
     for s in BT_NEIGHBORHOOD span an interval [I_min, I_max] (offsets clamp
@@ -185,31 +207,88 @@ def bt_cost_volume(
         cand[i] = np.float32(0.5) * (b + shifted)
     lo = cand.min(axis=0)
     hi = cand.max(axis=0)
-
-    out = np.full((p.num_disparities, height, width), LARGE_COST, dtype=np.float32)
     zero = np.float32(0.0)
-    for k in range(p.num_disparities):
+    below = np.empty_like(a)  # scratch for I_min - ref
+
+    def write(k: int, out: np.ndarray) -> None:
         ox, oy = direction.offset(p.d_min + k)
         rows, cols = _inbounds_window(height, width, ox, oy)
+        _fill_outside(out, rows, cols)
         if rows.start >= rows.stop or cols.start >= cols.stop:
-            continue
+            return
         moved = (slice(rows.start + oy, rows.stop + oy), slice(cols.start + ox, cols.stop + ox))
         a_w = a[rows, cols]
-        out[k, rows, cols] = np.maximum(zero, np.maximum(a_w - hi[moved], lo[moved] - a_w))
+        dst = out[rows, cols]
+        lo_gap = below[: rows.stop - rows.start, : cols.stop - cols.start]
+        np.subtract(a_w, hi[moved], out=dst)
+        np.subtract(lo[moved], a_w, out=lo_gap)
+        np.maximum(dst, lo_gap, out=dst)
+        np.maximum(zero, dst, out=dst)
+
+    return write
+
+
+_MATCHERS = {"sad": sad_slices, "bt": bt_slices}
+
+
+def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
+    """All of a writer's slices, written into one preallocated volume."""
+    out = np.empty((p.num_disparities,) + shape, dtype=np.float32)
+    for k in range(p.num_disparities):
+        write(k, out[k])
     return CostVolume(out, p.d_min, p.d_max)
 
 
-_MATCHERS = {"sad": sad_cost_volume, "bt": bt_cost_volume}
+def sad_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The SAD volume of sad_slices."""
+    return _volume(sad_slices(ref, target, direction, p), ref.pixels.shape, p)
+
+
+def bt_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The BT volume of bt_slices."""
+    return _volume(bt_slices(ref, target, direction, p), ref.pixels.shape, p)
+
+
+def _matcher(matcher: str):
+    if matcher not in _MATCHERS:
+        raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
+    return _MATCHERS[matcher]
 
 
 def multiscopic_volumes(
     mset: MultiscopicSet, matcher: str, p: BlockMatchParams
 ) -> list[CostVolume]:
     """One cost volume per surrounding view, in set order."""
-    if matcher not in _MATCHERS:
-        raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
-    fn = _MATCHERS[matcher]
-    return [fn(mset.center, img, direction, p) for direction, img in mset.surround]
+    fn = _matcher(matcher)
+    shape = mset.center.pixels.shape
+    return [_volume(fn(mset.center, img, direction, p), shape, p) for direction, img in mset.surround]
+
+
+def multiscopic_slices(
+    mset: MultiscopicSet, matcher: str, p: BlockMatchParams
+) -> Iterator[list[np.ndarray]]:
+    """Per disparity, in order, the list of the n views' cost slices in set
+    order: the slices of multiscopic_volumes without ever holding a volume.
+
+    The n (H, W) arrays are scratch, refilled for the next disparity; a
+    consumer is done with them (and may overwrite them) before it asks for
+    the next list.
+    """
+    fn = _matcher(matcher)
+    writers = [fn(mset.center, img, direction, p) for direction, img in mset.surround]
+    rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=np.float32))
+
+    def stream():
+        for k in range(p.num_disparities):
+            for row, write in zip(rows, writers):
+                write(k, row)
+            yield rows
+
+    return stream()
 
 
 def _check_costs(costs: np.ndarray, path, error: type[Exception]) -> None:

@@ -19,6 +19,12 @@ ascending order with NaN last, the order a stable sort gives, down to the
 relative order of -0.0 and +0.0.  A swap exchanges raw bits, not values,
 so NaN payloads and the signs of zeros move with their cells.
 
+One fusion loop, fuse_slices, runs over per-disparity lists of the n
+views' slices.  fuse feeds it from whole volumes; the dense pipeline feeds
+it from the matchers (costvol.multiscopic_slices) and its fused slices go
+straight into the running-argmin WTA (wta_slices), so that pipeline never
+holds a volume.
+
 Internals run in float64 with ascending-order summation so the pointwise
 ordering MIN <= HEURISTIC <= MEAN survives the final float32 cast (rounding
 is monotone).
@@ -27,6 +33,7 @@ is monotone).
 from __future__ import annotations
 
 import enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,7 +48,32 @@ class FusionStrategy(enum.Enum):
     HEURISTIC = "heuristic"
 
 
-def _order_cells(rows: list[np.ndarray]) -> None:
+class _Scratch:
+    """Arrays the fusion loop reuses for every slice of one shape, so that it
+    allocates nothing per slice."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.x = np.empty(shape, dtype=np.uint32)
+        self.swap = np.empty(shape, dtype=bool)
+        self.hi_ok = np.empty(shape, dtype=bool)
+        self.f64 = np.empty((3,) + shape, dtype=np.float64)
+        self.x64 = np.empty(shape, dtype=np.uint64)
+        self.out = np.empty(shape, dtype=np.float32)
+
+
+def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -> None:
+    """dst = src where mask, in place, as raw bits and without a branch.
+
+    x is scratch of the unsigned integer type as wide as dst's items:
+    x = dst ^ src, zeroed where mask is False, then dst ^= x.
+    """
+    bits = dst.view(x.dtype)
+    np.bitwise_xor(bits, src.view(x.dtype), out=x)
+    x *= mask
+    bits ^= x
+
+
+def _order_cells(rows: list[np.ndarray], work: _Scratch) -> None:
     """Sort n float32 rows ascending per cell, in place: stable, NaN last.
 
     Odd-even transposition: n rounds of compare-exchange on adjacent rows.
@@ -50,35 +82,87 @@ def _order_cells(rows: list[np.ndarray]) -> None:
     """
     bits = [row.view(np.uint32) for row in rows]
     n = len(rows)
+    x, swap = work.x, work.swap
     for rnd in range(n):
         for i in range(rnd % 2, n - 1, 2):
             lo, hi = rows[i], rows[i + 1]
             # hi < lo, or lo is NaN, provided hi is not NaN
-            swap = (hi == hi) & ~(lo <= hi)
-            x = bits[i] ^ bits[i + 1]
+            np.less_equal(lo, hi, out=swap)
+            np.logical_not(swap, out=swap)
+            swap &= np.equal(hi, hi, out=work.hi_ok)
+            np.bitwise_xor(bits[i], bits[i + 1], out=x)
             x *= swap
             bits[i] ^= x
             bits[i + 1] ^= x
 
 
-def _fuse_slice(srt: list[np.ndarray], strategy: FusionStrategy, heuristic_factor: float):
-    """Fused float64 costs of one disparity slice from its ordered rows."""
+def _fuse_slice(
+    srt: list[np.ndarray], strategy: FusionStrategy, heuristic_factor: float, work: _Scratch
+) -> None:
+    """Fused costs of one disparity slice from its ordered rows, computed in
+    float64 and rounded once into work.out."""
     n = len(srt)
+    c1, c2, c3 = work.f64
+    np.copyto(c1, srt[0])
     if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
-        return srt[0].astype(np.float64)
+        np.copyto(work.out, c1)
+        return
     if strategy is FusionStrategy.MEAN:
-        total = srt[0].astype(np.float64)
         for i in range(1, n):
-            total += srt[i]
-        return total / n
-    c1, c2, c3 = (row.astype(np.float64) for row in srt[:3])
-    pair = c1 + c2
-    triple = pair + c3
+            c1 += srt[i]
+        c1 /= n
+        np.copyto(work.out, c1)
+        return
+    np.copyto(c2, srt[1])
+    np.copyto(c3, srt[2])
+    outlier = work.swap
+    # operands stay in the order of c1 + c2 + c3 and factor * c2: with two
+    # NaN operands, the first one's sign and payload come out
+    np.add(c1, c2, out=c1)
     # c2 is float64, so the product is too; a product past the float64 range
     # is inf, the exact outcome of the comparison
     with np.errstate(over="ignore"):
-        outlier = c3 > heuristic_factor * c2
-    return np.where(outlier, pair / 2.0, triple / 3.0)
+        np.multiply(heuristic_factor, c2, out=c2)
+    np.greater(c3, c2, out=outlier)
+    np.add(c1, c3, out=c3)
+    c1 /= 2.0
+    c3 /= 3.0
+    _select(c3, c1, outlier, work.x64)
+    np.copyto(work.out, c3)
+
+
+def fuse_slices(
+    slice_lists: Iterable[list[np.ndarray]],
+    strategy: FusionStrategy,
+    heuristic_factor: float = 3.0,
+) -> Iterator[np.ndarray]:
+    """The fusion loop: one fused float32 (H, W) slice per list of the n
+    views' float32 slices of one disparity, in order.
+
+    Each list is ordered in place, so its arrays must be scratch the caller
+    is done with; a single view's slice passes through as it is.  Each
+    yielded slice is scratch as well, valid until the next is asked for.  The
+    strategy and heuristic_factor (positive and finite) are checked before
+    any slice is read.
+    """
+    if not isinstance(strategy, FusionStrategy):
+        raise InputError(f"unknown fusion strategy {strategy!r}")
+    if not 0 < heuristic_factor < np.inf:
+        raise InputError(f"heuristic_factor must be positive and finite, got {heuristic_factor}")
+
+    def stream():
+        work = None
+        for rows in slice_lists:
+            if len(rows) == 1:
+                yield rows[0]
+                continue
+            if work is None:
+                work = _Scratch(rows[0].shape)
+            _order_cells(rows, work)
+            _fuse_slice(rows, strategy, heuristic_factor, work)
+            yield work.out
+
+    return stream()
 
 
 def fuse(
@@ -86,31 +170,30 @@ def fuse(
     strategy: FusionStrategy,
     heuristic_factor: float = 3.0,
 ) -> CostVolume:
-    """Reduce per-view cost volumes to a single volume, cell by cell.
+    """Reduce per-view cost volumes to a single volume, cell by cell: the
+    fusion loop of fuse_slices fed with the volumes' slices.
 
     heuristic_factor must be positive and finite.
     """
-    if not isinstance(strategy, FusionStrategy):
-        raise InputError(f"unknown fusion strategy {strategy!r}")
     check_volumes(volumes, "fuse")
-    if not 0 < heuristic_factor < np.inf:
-        raise InputError(f"heuristic_factor must be positive and finite, got {heuristic_factor}")
     first = volumes[0]
-    if len(volumes) == 1:
-        return CostVolume(first.costs.copy(), first.d_min, first.d_max)
+    rows = list(np.empty((len(volumes),) + first.costs.shape[1:], dtype=np.float32))
+
+    def copies():
+        for k in range(first.num_disparities):
+            for row, v in zip(rows, volumes):
+                row[...] = v.costs[k]
+            yield rows
 
     fused = np.empty_like(first.costs)
-    rows = list(np.empty((len(volumes),) + first.costs.shape[1:], dtype=np.float32))
-    for k in range(first.num_disparities):
-        for row, v in zip(rows, volumes):
-            row[...] = v.costs[k]
-        _order_cells(rows)
-        fused[k] = _fuse_slice(rows, strategy, heuristic_factor)
+    for k, fused_slice in enumerate(fuse_slices(copies(), strategy, heuristic_factor)):
+        fused[k] = fused_slice
     return CostVolume(fused, first.d_min, first.d_max)
 
 
-def wta_disparity(volume: CostVolume, subpixel: bool = True) -> DisparityMap:
-    """Per-pixel argmin disparity, optionally refined by a parabola fit.
+def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) -> DisparityMap:
+    """Per-pixel argmin disparity over cost slices read one at a time
+    (slice k holds disparity d_min + k), optionally refined by a parabola fit.
 
     Ties break toward the smaller disparity.  Pixels whose costs are all
     sentinels come out invalid.  The refinement fits a parabola through the
@@ -121,18 +204,54 @@ def wta_disparity(volume: CostVolume, subpixel: bool = True) -> DisparityMap:
     only when d* is interior, the denominator is positive and neither
     neighbor cost is a sentinel; otherwise the integer winner stands.
     The offset magnitude is at most 1/2 by the argmin property.
+
+    The running argmin keeps np.argmin's rule: a later slice takes a pixel
+    only if its cost is strictly smaller, or is NaN where the best so far is
+    not, so the first minimum (or first NaN) wins.  For the parabola each
+    pixel keeps the costs of the slices before and after its current best.
+    Slices may be scratch: what is kept is copied.
     """
-    costs = volume.costs
-    depth = volume.num_disparities
-    k_star = np.argmin(costs, axis=0)
-    k_idx = k_star[None, ...]
-    c0 = np.take_along_axis(costs, k_idx, axis=0)[0]
+    it = iter(slices)
+    first = next(it, None)
+    if first is None:
+        raise InputError("WTA needs at least one cost slice")
+    best = np.array(first, dtype=np.float32)
+    k_star = np.zeros(best.shape, dtype=np.uint32)
+    k_new = np.empty_like(k_star)
+    better = np.empty(best.shape, dtype=bool)
+    # better as uint32 0/1: the selects multiply by it without a type cast
+    take = np.empty_like(k_star)
+    x = np.empty_like(k_star)
+    if subpixel:
+        lo = best.copy()  # cost at max(k* - 1, 0)
+        # cost at k* + 1 once that slice is read; stale where k* is the last
+        # slice, which the refinement leaves out
+        hi = best.copy()
+        prev = best.copy()
+        fresh = np.ones_like(k_star)  # k* is the slice read last
+    depth = 1
+    for k, s in enumerate(it, start=1):
+        s = np.asarray(s, dtype=np.float32)
+        depth += 1
+        if subpixel:
+            _select(hi, s, fresh, x)
+        np.less(s, best, out=better)
+        if np.isnan(s).any():
+            better |= np.isnan(s) & ~np.isnan(best)
+        np.copyto(take, better)
+        _select(best, s, take, x)
+        # k exceeds every index so far: max(k*, k * take) is k where taken
+        np.maximum(k_star, np.multiply(take, k, out=k_new), out=k_star)
+        if subpixel:
+            _select(lo, prev, take, x)
+            np.copyto(prev, s)
+            fresh, take = take, fresh
+    c0 = best
     invalid = c0 >= LARGE_COST
 
-    disp = (volume.d_min + k_star).astype(np.float64)
+    disp = k_star.astype(np.float64)
+    disp += d_min
     if subpixel and depth >= 3:
-        lo = np.take_along_axis(costs, np.maximum(k_idx - 1, 0), axis=0)[0]
-        hi = np.take_along_axis(costs, np.minimum(k_idx + 1, depth - 1), axis=0)[0]
         c_lo = lo.astype(np.float64)
         c_hi = hi.astype(np.float64)
         denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
@@ -150,3 +269,8 @@ def wta_disparity(volume: CostVolume, subpixel: bool = True) -> DisparityMap:
     disp = disp.astype(np.float32)
     disp[invalid] = INVALID_DISPARITY
     return DisparityMap(disp)
+
+
+def wta_disparity(volume: CostVolume, subpixel: bool = True) -> DisparityMap:
+    """WTA (wta_slices) over the slices of a volume."""
+    return wta_slices(volume.costs, volume.d_min, subpixel)

@@ -226,6 +226,38 @@ def heuristic_oracle(costs, factor=3.0):
     return (c1 + c2 + c3) / 3.0
 
 
+def wta_reference(costs, d_min, subpixel=True):
+    """Whole-volume WTA on (D, H, W) float32 costs: np.argmin over the
+    disparity axis (first minimum, a NaN counts as the minimum), the winner
+    and its neighbours gathered with take_along_axis, then the parabola
+    vertex where the winner is interior, the denominator is positive and
+    neither neighbour is a sentinel.  Pixels whose winner is a sentinel
+    come out +inf.  Returns the float32 (H, W) disparities.
+    """
+    costs = np.asarray(costs, dtype=np.float32)
+    depth = costs.shape[0]
+    k_star = np.argmin(costs, axis=0)
+    k_idx = k_star[None, ...]
+    c0 = np.take_along_axis(costs, k_idx, axis=0)[0]
+    invalid = c0 >= LARGE
+
+    disp = (d_min + k_star).astype(np.float64)
+    if subpixel and depth >= 3:
+        lo = np.take_along_axis(costs, np.maximum(k_idx - 1, 0), axis=0)[0]
+        hi = np.take_along_axis(costs, np.minimum(k_idx + 1, depth - 1), axis=0)[0]
+        c_lo = lo.astype(np.float64)
+        c_hi = hi.astype(np.float64)
+        denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
+        ok = (k_star > 0) & (k_star < depth - 1) & (denom > 0) & (lo < LARGE) & (hi < LARGE)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = (c_lo - c_hi) / denom
+        disp = np.where(ok, disp + offset, disp)
+
+    disp = disp.astype(np.float32)
+    disp[invalid] = np.float32(np.inf)
+    return disp
+
+
 def occlusion_oracle(labels, costs, d_min, k_occ, w_h, w_v, cutoff, eps, occluded=-1):
     """Greedy raster scan over every pixel, flipping to occluded whenever
     k_occ - cost - (smoothness to the current assigned neighbors) < -eps.

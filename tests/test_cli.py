@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import multiscopic
-from multiscopic import load_volume, read_image
+from multiscopic import CostVolume, load_volume, read_image, save_volume
 from multiscopic.cli import run
 
 
@@ -419,6 +419,26 @@ def test_fuse_non_finite_volume_reports_path(tmp_path, capsys, fills, fusion):
                     "--out", str(out)])
     assert code == 1
     _assert_one_error_line(capsys, paths[0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "d_range, size, what",
+    [
+        ((2, 3), (3, 4), "disparity range [2, 3] differs from {first}'s [1, 2]"),
+        ((1, 2), (3, 5), "shape (D, H, W) (2, 3, 5) differs from {first}'s (2, 3, 4)"),
+    ],
+    ids=["range", "shape"],
+)
+def test_fuse_mismatched_volumes_name_file_and_field(tmp_path, capsys, d_range, size, what):
+    first, second = tmp_path / "a.mcv", tmp_path / "b.mcv"
+    save_volume(first, CostVolume(np.zeros((2, 3, 4), dtype=np.float32), 1, 2))
+    d_min, d_max = d_range
+    costs = np.zeros((d_max - d_min + 1,) + size, dtype=np.float32)
+    save_volume(second, CostVolume(costs, d_min, d_max))
+    out = tmp_path / "fused.mcv"
+    assert run(["fuse", "--volumes", str(first), str(second), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {second}: {what.format(first=first)}\n"
     assert not out.exists()
 
 

@@ -12,9 +12,10 @@ from multiscopic import (
     InputError,
     fuse,
     wta_disparity,
+    wta_slices,
 )
 
-from oracles import heuristic_oracle
+from oracles import heuristic_oracle, wta_reference
 
 
 def _vol(arr, d_min=1):
@@ -263,3 +264,47 @@ def test_wta_recovers_known_disparity():
     costs[3] = rng.uniform(0, 0.5, size=(12, 12)).astype(np.float32)
     d = wta_disparity(_vol(costs, d_min=1), subpixel=False)
     assert (d.values == 4.0).all()
+
+
+def _wta_cases(depth):
+    """(depth, 24, 32) costs holding every case the first-minimum rule and
+    the parabola have to get right, row band by row band."""
+    rng = np.random.default_rng(80 + depth)
+    shape = (depth, 4, 32)
+    levels = np.array([0.0, -0.0, 1.0, 2.0, 3.5], dtype=np.float32)
+    bands = [
+        levels[rng.integers(0, len(levels), size=shape)],  # ties and plateaus
+        np.full(shape, LARGE_COST, dtype=np.float32),  # all-sentinel pixels
+        rng.uniform(0, 10, size=shape).astype(np.float32),  # real parabolas
+    ]
+    runs = rng.uniform(0, 10, size=shape).astype(np.float32)
+    starts = rng.integers(0, depth + 1, size=shape[1:])
+    stops = rng.integers(0, depth + 1, size=shape[1:])
+    k = np.arange(depth)[:, None, None]
+    runs[(k >= starts) & (k < stops)] = LARGE_COST  # LARGE_COST runs
+    bands.append(runs)
+    nans = levels[rng.integers(0, len(levels), size=shape)]
+    nans[rng.random(shape) < 0.2] = np.nan  # NaN cells, some pixels with two
+    bands.append(nans)
+    plateau = np.repeat(rng.uniform(0, 5, size=(1,) + shape[1:]).astype(np.float32), depth, 0)
+    bands.append(plateau)  # one cost at every disparity
+    return np.concatenate(bands, axis=1)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("subpixel", [False, True])
+def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
+    costs = _wta_cases(depth)
+    want = wta_reference(costs, 3, subpixel)
+    got = wta_disparity(_vol(costs, d_min=3), subpixel).values
+    assert got.tobytes() == want.tobytes()
+
+    # slices handed over in one reused buffer, as the dense pipeline does
+    def scratch():
+        buf = np.empty(costs.shape[1:], dtype=np.float32)
+        for s in costs:
+            buf[...] = s
+            yield buf
+            buf[...] = np.nan  # a consumer must not read a slice after the next
+
+    assert wta_slices(scratch(), 3, subpixel).values.tobytes() == want.tobytes()
