@@ -429,6 +429,10 @@ def run(argv: list[str]) -> int:
         where = "" if err.filename is None else f"{err.filename}: "
         sys.stderr.write(f"error: {where}{err.strerror or err}\n")
         return 1
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
+        return 1
     except AssertionError as err:
         sys.stderr.write(f"internal error: {err}\n")
         return 2

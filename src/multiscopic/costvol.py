@@ -3,6 +3,13 @@
 A cost volume stores float32 costs indexed (d, v, u); slice k corresponds
 to disparity d_min + k.  Cells whose disparity-shifted sample falls outside
 the target image hold the LARGE_COST sentinel and are excluded from WTA.
+
+Each SAD cost equals the float32 sum of its block's absolute differences
+added in row-major order.  On integer-valued images (every PGM input) with
+(2*rho+1)^2 * 255 < 2^24 no such add rounds, so the block is summed
+separably, rows then columns, in 4*rho adds per slice.  Any other input
+(PPM luma, upscaled `gc` images, float images, rho >= 128) is summed in the
+row-major order itself, (2*rho+1)^2 adds per slice.
 """
 
 from __future__ import annotations
@@ -126,6 +133,15 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
 SliceWriter = Callable[[int, np.ndarray], None]
 
 
+def _integral(x: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether every value of x is an integer; scratch is a flat float32
+    buffer of at least x.size elements, so the check allocates nothing."""
+    s = scratch[: x.size].reshape(x.shape)
+    np.rint(x, out=s)
+    np.subtract(s, x, out=s)
+    return not np.count_nonzero(s)
+
+
 def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
     """Sum of absolute differences over a (2*rho+1)^2 block, one disparity
     slice per call of the returned writer.
@@ -137,10 +153,19 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
     and not by d_max.  Each disparity's shifted target is then a slice view
     of that copy; a shift of span or more leaves the frame and gives an
     all-LARGE_COST slice without reading the target.  Each disparity builds
-    one absolute-difference plane and sums the (2*rho+1)^2 shifted windows
-    of it.  Every cell accumulates the same terms in row-major block order
-    (dy outer, dx inner) in float32, so a scalar oracle with the same order
-    reproduces the result bit for bit.
+    one absolute-difference plane and sums its (2*rho+1)^2 block.
+
+    Every cell equals the float32 sum of its block in row-major order (dy
+    outer, dx inner), so a scalar oracle with that order reproduces the
+    result bit for bit.  The writer picks one of two summations, once:
+
+    * Exact (both images integer-valued and (2*rho+1)^2 * 255 < 2^24, i.e.
+      rho <= 127): every partial sum is an integer below 2^24, so no add
+      rounds and any order gives the row-major bits.  The block is summed
+      separably, along rows and then down columns: 4*rho adds per slice.
+    * Otherwise (a non-integer intensity in either image, or rho >= 128):
+      the (2*rho+1)^2 windows are added in row-major order, the one order
+      whose rounding matches.
     """
     _check_pair(ref, target)
     a = ref.pixels
@@ -154,9 +179,39 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
     b_pad = np.pad(target.pixels, ((py, py), (px, px)), mode="edge")
     diff = np.empty((height + 2 * r, pw), dtype=np.float32)
     flat = diff.ravel()
-    acc = np.empty(height * pw, dtype=np.float32)
-    run = acc[: height * pw - 2 * r]
-    sums = acc.reshape(height, pw)[:, :width]
+    acc = np.empty((height + 2 * r) * pw, dtype=np.float32)
+    exact = (2 * r + 1) ** 2 * 255 < 2**24 and _integral(a, acc) and _integral(target.pixels, acc)
+    # Cell (v, u) of a padded plane sits at v*pw + u of its flat run, so a
+    # shift by (dy, dx) is the run started dy*pw + dx later.  A run's
+    # padding columns (u >= width) are summed too and never read.
+    if exact:
+        row_run = acc[: (height + 2 * r - 1) * pw + width]
+        col_run = flat[: (height - 1) * pw + width]
+        sums = diff[:height, :width]
+
+        def block_sum() -> None:
+            # acc[i] = sum over dx of flat[i + dx], for every cell the column
+            # pass reads; then flat[i] = sum over dy of acc[i + dy*pw]
+            src = flat
+            for dx in range(1, 2 * r + 1):
+                np.add(src[: row_run.size], flat[dx : dx + row_run.size], out=row_run)
+                src = row_run
+            src = row_run
+            for dy in range(1, 2 * r + 1):
+                start = dy * pw
+                np.add(src[: col_run.size], row_run[start : start + col_run.size], out=col_run)
+                src = col_run
+
+    else:
+        run = acc[: height * pw - 2 * r]
+        sums = acc[: height * pw].reshape(height, pw)[:, :width]
+
+        def block_sum() -> None:
+            acc.fill(0.0)
+            for dy in range(2 * r + 1):
+                for dx in range(2 * r + 1):
+                    start = dy * pw + dx
+                    np.add(run, flat[start : start + run.size], out=run)
 
     def write(k: int, out: np.ndarray) -> None:
         ox, oy = direction.offset(p.d_min + k)
@@ -167,14 +222,7 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
         y0, x0 = py - r + oy, px - r + ox
         np.subtract(a_pad, b_pad[y0 : y0 + height + 2 * r, x0 : x0 + pw], out=diff)
         np.abs(diff, out=diff)
-        # Each window is one flat run of the padded plane: cell (v, u) sits at
-        # v*pw + u and its (dy, dx) term at (v+dy)*pw + u+dx.  The run's
-        # padding columns (u >= width) are summed too and never read.
-        acc.fill(0.0)
-        for dy in range(2 * r + 1):
-            for dx in range(2 * r + 1):
-                start = dy * pw + dx
-                np.add(run, flat[start : start + run.size], out=run)
+        block_sum()
         out[rows, cols] = sums[rows, cols]
 
     return write

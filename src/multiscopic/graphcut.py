@@ -367,8 +367,8 @@ def multiscopic_gc(
         mset.baseline_mm,
     )
     bm_up = BlockMatchParams(rho=bm.rho, d_min=bm.d_min * s, d_max=bm.d_max * s)
-    volumes = multiscopic_volumes(up_set, matcher, bm_up)
-    c_gc = fuse(volumes, FusionStrategy.HEURISTIC)
+    # the per-view volumes are dead once fused: hold no name for them
+    c_gc = fuse(multiscopic_volumes(up_set, matcher, bm_up), FusionStrategy.HEURISTIC)
 
     init = wta_disparity(c_gc, subpixel=False)
     init_vals = np.where(init.valid_mask, init.values, 0)

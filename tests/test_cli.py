@@ -648,6 +648,34 @@ def test_installed_console_script(tmp_path):
     _assert_behaves_like_run(["multiscopic"], tmp_path)
 
 
+# run(argv) in a child process whose address space is capped at its size
+# after the imports plus 256 MiB, so an allocation that does not fit raises
+# MemoryError instead of succeeding on lazily mapped pages.
+_CAPPED_RUN = """\
+import resource, sys
+from multiscopic.cli import run
+
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (vm + (256 << 20), resource.RLIM_INFINITY))
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_out_of_memory_exits_one_with_one_error_line(tmp_path):
+    # rho 100000 edge-pads a 16 x 12 image to ~200000 x 200000 pixels
+    data = _synth(tmp_path)
+    out = tmp_path / "disp"
+    proc = _run_child([sys.executable, "-c", _CAPPED_RUN, "disparity",
+                       "--in", str(data / "scene_0000"), "--rho", "100000",
+                       "--d-min", "1", "--d-max", "4", "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, what", [
     (["--lr", "inf"], "learning_rate"),
     (["--lr", "1e308"], "parameter stem1.w non-finite after the Adam step at epoch 0"),

@@ -79,17 +79,71 @@ def test_sad_single_pixel_example():
     assert vol.costs[0, 1, 1] == 2.0
 
 
+# (h, w, rho, d_max) of small and thin images: the padded plane is wider
+# than the image by 2*rho on each axis, and the clamped border rows and
+# columns repeat more than once
+SMALL_AND_THIN = [
+    (1, 1, 0, 1),  # every slice is the sentinel
+    (1, 1, 2, 1),
+    (2, 9, 2, 3),  # shorter than the block
+    (9, 2, 2, 3),  # narrower than the block
+    (3, 4, 3, 5),  # rho = 3 on both sides; d_max >= w and >= h
+    (6, 5, 3, 7),
+]
+
+
+def _full_range_int_pair(rng, h, w):
+    """Integer images that hold 0 and 255 between them, so the block sums
+    reach (2*rho+1)^2 * 255."""
+    ref, tgt = rng.integers(0, 256, size=(2, h, w)).astype(np.float32)
+    ref.flat[0], ref.flat[-1] = 0.0, 255.0
+    tgt.flat[0], tgt.flat[-1] = 255.0, 0.0
+    return Image(ref), Image(tgt)
+
+
 @pytest.mark.parametrize("direction", DIRS)
 def test_sad_matches_oracle_int_images(direction):
+    # integer images take the separable block sum; it must give the bits
+    # of the row-major float32 sum, on random sizes and the thin shapes
     rng = np.random.default_rng(hash(direction.name) % 2**32)
-    for _ in range(4):
-        h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
-        rho = int(rng.integers(0, 3))
-        d_max = int(rng.integers(1, 4))
-        ref, tgt = _int_image(rng, h, w), _int_image(rng, h, w)
-        got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=1, d_max=d_max))
-        want = sad_oracle(ref.pixels, tgt.pixels, direction.value, rho, 1, d_max)
-        np.testing.assert_array_equal(got.costs, want)
+    drawn = [
+        (int(rng.integers(3, 9)), int(rng.integers(3, 9)), int(rng.integers(0, 4)),
+         int(rng.integers(1, 4)))
+        for _ in range(4)
+    ]
+    for h, w, rho, d_max in drawn + SMALL_AND_THIN:
+        ref, tgt = _full_range_int_pair(rng, h, w)
+        got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=d_max))
+        want = sad_oracle(ref.pixels, tgt.pixels, direction.value, rho, 0, d_max, exact_f32=True)
+        np.testing.assert_array_equal(got.costs, want, err_msg=str((h, w, rho, d_max)))
+
+
+def test_sad_wide_block_keeps_the_row_major_order():
+    # (2*128+1)^2 * 255 = 16842495 is past 2^24, so the sums round and only
+    # the row-major order gives the oracle's bits (a separable sum gives
+    # 16842496 here, the row-major one 16842748)
+    ref = Image(np.zeros((1, 2), dtype=np.float32))
+    tgt = Image(np.full((1, 2), 255.0, dtype=np.float32))
+    got = sad_cost_volume(ref, tgt, Direction.RIGHT, BlockMatchParams(rho=128, d_min=0, d_max=1))
+    want = sad_oracle(ref.pixels, tgt.pixels, "right", 128, 0, 1, exact_f32=True)
+    np.testing.assert_array_equal(got.costs, want)
+    assert got.costs[0, 0, 0] == 16842748.0
+
+
+@pytest.mark.parametrize("side", ["ref", "target"])
+def test_sad_one_fractional_pixel_keeps_the_row_major_order(side):
+    # one non-integer intensity in either image makes the partial sums
+    # round, so the writer must fall back to the row-major order; in the
+    # corner the edge clamp repeats it in many windows, where another order
+    # of the adds rounds differently
+    rng = np.random.default_rng(17)
+    images = {"ref": _int_image(rng, 9, 11), "target": _int_image(rng, 9, 11)}
+    images[side].pixels[0, 0] = 100.3
+    ref, tgt = images["ref"], images["target"]
+    for direction in DIRS:
+        got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=3, d_min=0, d_max=4))
+        want = sad_oracle(ref.pixels, tgt.pixels, direction.value, 3, 0, 4, exact_f32=True)
+        np.testing.assert_array_equal(got.costs, want, err_msg=direction.name)
 
 
 def test_sad_bit_exact_on_float_images():
@@ -106,20 +160,8 @@ def test_sad_bit_exact_on_float_images():
 
 
 @pytest.mark.parametrize("direction", DIRS)
-@pytest.mark.parametrize(
-    "h, w, rho, d_max",
-    [
-        (1, 1, 0, 1),  # every slice is the sentinel
-        (1, 1, 2, 1),
-        (2, 9, 2, 3),  # shorter than the block
-        (9, 2, 2, 3),  # narrower than the block
-        (3, 4, 3, 5),  # rho = 3 on both sides; d_max >= w and >= h
-        (6, 5, 3, 7),
-    ],
-)
+@pytest.mark.parametrize("h, w, rho, d_max", SMALL_AND_THIN)
 def test_sad_bit_exact_on_small_and_thin_float_images(direction, h, w, rho, d_max):
-    # the padded plane is wider than the image by 2*rho on each axis, and
-    # the clamped border rows and columns repeat more than once
     rng = np.random.default_rng(h * 1000 + w * 100 + rho * 10 + d_max)
     ref, tgt = _float_image(rng, h, w), _float_image(rng, h, w)
     got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=d_max))

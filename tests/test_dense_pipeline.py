@@ -17,15 +17,20 @@ import pytest
 
 from multiscopic import (
     BlockMatchParams,
+    ColorImage,
     FusionStrategy,
     MultiscopicSet,
     fuse,
     load_scene,
     multiscopic_volumes,
     read_image,
+    to_grayscale,
+    write_image,
     wta_disparity,
 )
 from multiscopic.cli import run
+
+from oracles import sad_oracle
 
 VIEWS = {1: ("left",), 2: ("right", "top"), 4: ("left", "right", "top", "bottom")}
 
@@ -70,6 +75,33 @@ def test_disparity_bytes_equal_volume_pipeline(scene, tmp_path, matcher, views, 
         want = wta_disparity(fuse(volumes, FusionStrategy(fusion)), bool(subpixel))
         got = read_image(out / "disp.pfm")
         assert got.values.tobytes() == want.values.tobytes(), (fusion, rho, subpixel)
+
+
+def test_disparity_on_colour_views_with_fractional_luma(scene, tmp_path):
+    # PPM views reach SAD as real-valued luma, so the matcher must keep the
+    # row-major float32 order there; blue = 255 - gray makes the luma
+    # 0.772 * gray + 29.07, mostly non-integer
+    full, _ = load_scene(scene)
+    argv = ["disparity", "--matcher", "sad", "--fusion", "heuristic", "--rho", 2,
+            "--d-min", 0, "--d-max", 6, "--out", tmp_path / "out"]
+    gray = {}
+    for name, img in [("center", full.center)] + [(d.value, img) for d, img in full.surround]:
+        g = img.pixels.astype(np.uint8)
+        colour = ColorImage(np.stack([g, g, 255 - g], axis=-1))
+        write_image(tmp_path / f"{name}.ppm", colour)
+        argv += [f"--{name}", tmp_path / f"{name}.ppm"]
+        gray[name] = to_grayscale(colour)
+    assert all((g.pixels != np.rint(g.pixels)).any() for g in gray.values())
+    assert _quiet_run(argv) == 0
+
+    mset = MultiscopicSet(gray["center"], [(d, gray[d.value]) for d, _ in full.surround])
+    bm = BlockMatchParams(2, 0, 6)
+    volumes = multiscopic_volumes(mset, "sad", bm)
+    want = wta_disparity(fuse(volumes, FusionStrategy.HEURISTIC))
+    assert read_image(tmp_path / "out" / "disp.pfm").values.tobytes() == want.values.tobytes()
+    direction, view = mset.surround[0]
+    oracle = sad_oracle(mset.center.pixels, view.pixels, direction.value, 2, 0, 6, exact_f32=True)
+    np.testing.assert_array_equal(volumes[0].costs, oracle)
 
 
 def test_disparity_peak_memory_below_the_per_view_volumes(tmp_path):

@@ -1,5 +1,7 @@
 """Energy, expansion moves (exact vs enumeration), and the full GC pipeline."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -504,6 +506,32 @@ def test_recheck_that_keeps_the_weights_solves_no_move_again(monkeypatch):
             out = multiscopic_gc(mset, p, bm=bm, energy_trace=trace)
             runs.append((list(calls), out.values.tobytes(), trace))
         assert runs[1] == runs[0], seed
+
+
+def test_multiscopic_gc_frees_the_per_view_volumes_before_the_moves(monkeypatch):
+    # nothing reads the per-view volumes after fusion, so none of them is
+    # still alive when the first expansion move runs
+    build, solve = graphcut.multiscopic_volumes, graphcut.expansion_move
+    built = []
+    moves = 0
+
+    def spy_build(*args):
+        volumes = build(*args)
+        built.extend(weakref.ref(v) for v in volumes)
+        return volumes
+
+    def spy_solve(*args):
+        nonlocal moves
+        if not moves:
+            assert built and all(ref() is None for ref in built)
+        moves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(graphcut, "multiscopic_volumes", spy_build)
+    monkeypatch.setattr(graphcut, "expansion_move", spy_solve)
+    mset, _ = generate_scene(SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))]), seed=760)
+    multiscopic_gc(mset, GcParams(), bm=BlockMatchParams(rho=1, d_min=1, d_max=4))
+    assert len(built) == 4 and moves > 0
 
 
 # ------------------------------------------------------- recheck weights
