@@ -17,6 +17,7 @@ naming the file), 2 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -323,7 +324,10 @@ def _cmd_colorize(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing
+    keeps no state in it, and each parse gets a fresh namespace."""
     parser = _Parser(prog="multiscopic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -6,10 +6,12 @@ the target image hold the LARGE_COST sentinel and are excluded from WTA.
 
 Each SAD cost equals the float32 sum of its block's absolute differences
 added in row-major order.  On integer-valued images (every PGM input) with
-(2*rho+1)^2 * 255 < 2^24 no such add rounds, so the block is summed
-separably, rows then columns, in 4*rho adds per slice.  Any other input
-(PPM luma, upscaled `gc` images, float images, rho >= 128) is summed in the
-row-major order itself, (2*rho+1)^2 adds per slice.
+(2*rho+1)^2 * 255 < 2^24 every block sum is an integer that float32 holds
+exactly, so the block is summed in integers, separably, rows then columns,
+in 4*rho adds per slice: uint16 for rho <= 7, uint32 up to rho 127.  Any
+other input (PPM luma, upscaled `gc` images, float images, rho >= 128) is
+summed in float32 in the row-major order itself, (2*rho+1)^2 adds per
+slice.
 """
 
 from __future__ import annotations
@@ -133,13 +135,24 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
 SliceWriter = Callable[[int, np.ndarray], None]
 
 
-def _integral(x: np.ndarray, scratch: np.ndarray) -> bool:
-    """Whether every value of x is an integer; scratch is a flat float32
-    buffer of at least x.size elements, so the check allocates nothing."""
-    s = scratch[: x.size].reshape(x.shape)
-    np.rint(x, out=s)
-    np.subtract(s, x, out=s)
-    return not np.count_nonzero(s)
+def _integer_pads(a_pad: np.ndarray, b_pad: np.ndarray, rho: int):
+    """The padded images converted for the exact SAD path and the type of
+    its block sums, or None where that path does not apply.
+
+    The exact path needs both images integer-valued and every block sum,
+    at most (2*rho+1)^2 * 255, below 2^24 so it converts to float32
+    exactly.  The sum type is the narrowest unsigned type that holds that
+    bound; the images go to the signed type as wide, which holds the
+    differences of [0, 255] samples and their absolute values.
+    """
+    bound = (2 * rho + 1) ** 2 * 255
+    if bound >= 2**24:
+        return None
+    signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
+    a_int, b_int = a_pad.astype(signed), b_pad.astype(signed)
+    if not (np.array_equal(a_int, a_pad) and np.array_equal(b_int, b_pad)):
+        return None
+    return a_int, b_int, unsigned
 
 
 def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
@@ -160,12 +173,17 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
     result bit for bit.  The writer picks one of two summations, once:
 
     * Exact (both images integer-valued and (2*rho+1)^2 * 255 < 2^24, i.e.
-      rho <= 127): every partial sum is an integer below 2^24, so no add
-      rounds and any order gives the row-major bits.  The block is summed
-      separably, along rows and then down columns: 4*rho adds per slice.
+      rho <= 127): every block sum is an integer below 2^24, which float32
+      holds exactly, so integer arithmetic in any order gives the
+      row-major bits.  The padded images are converted once to int16
+      (rho <= 7, sums up to 57,375 < 2^16) or int32; each slice's
+      differences and their absolute values are taken in that type and
+      summed in its unsigned twin (uint16 or uint32) separably, along rows
+      and then down columns: 4*rho adds per slice.  The final copy into
+      the float32 slice is exact.
     * Otherwise (a non-integer intensity in either image, or rho >= 128):
-      the (2*rho+1)^2 windows are added in row-major order, the one order
-      whose rounding matches.
+      the (2*rho+1)^2 windows are added in float32 in row-major order, the
+      one order whose rounding matches.
     """
     _check_pair(ref, target)
     a = ref.pixels
@@ -177,17 +195,19 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
     px, py = r + reach * abs(step_x), r + reach * abs(step_y)
     a_pad = np.pad(a, r, mode="edge")
     b_pad = np.pad(target.pixels, ((py, py), (px, px)), mode="edge")
-    diff = np.empty((height + 2 * r, pw), dtype=np.float32)
-    flat = diff.ravel()
-    acc = np.empty((height + 2 * r) * pw, dtype=np.float32)
-    exact = (2 * r + 1) ** 2 * 255 < 2**24 and _integral(a, acc) and _integral(target.pixels, acc)
+    exact = _integer_pads(a_pad, b_pad, r)
+    if exact:
+        a_pad, b_pad, sum_type = exact
+    diff = np.empty((height + 2 * r, pw), dtype=a_pad.dtype)
     # Cell (v, u) of a padded plane sits at v*pw + u of its flat run, so a
     # shift by (dy, dx) is the run started dy*pw + dx later.  A run's
     # padding columns (u >= width) are summed too and never read.
     if exact:
+        flat = diff.view(sum_type).ravel()
+        acc = np.empty((height + 2 * r) * pw, dtype=sum_type)
         row_run = acc[: (height + 2 * r - 1) * pw + width]
         col_run = flat[: (height - 1) * pw + width]
-        sums = diff[:height, :width]
+        sums = flat.reshape(diff.shape)[:height, :width]
 
         def block_sum() -> None:
             # acc[i] = sum over dx of flat[i + dx], for every cell the column
@@ -203,8 +223,10 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
                 src = col_run
 
     else:
+        flat = diff.ravel()
+        acc = np.empty(height * pw, dtype=np.float32)
         run = acc[: height * pw - 2 * r]
-        sums = acc[: height * pw].reshape(height, pw)[:, :width]
+        sums = acc.reshape(height, pw)[:, :width]
 
         def block_sum() -> None:
             acc.fill(0.0)

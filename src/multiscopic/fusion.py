@@ -13,11 +13,17 @@ Cells at the LARGE_COST sentinel simply sort last, so a view whose sample
 left the frame never wins a fused cell.
 
 Each disparity slice is fused on its own.  Its n float32 costs per cell are
-ordered by an adjacent compare-exchange network that swaps only a strictly
-smaller later value, or a non-NaN later value past a NaN: a stable
-ascending order with NaN last, the order a stable sort gives, down to the
-relative order of -0.0 and +0.0.  A swap exchanges raw bits, not values,
-so NaN payloads and the signs of zeros move with their cells.
+ordered by an odd-even transposition network into the order a stable
+ascending sort with NaN last gives, bit for bit, in one of two ways:
+
+* a clean slice, every cost in [+0.0, +inf] (all the matchers write), is
+  ordered by uint32 minimum/maximum of the bit patterns: on such floats
+  that order is the float order and equal costs have equal bits, so which
+  of two equal costs goes first cannot show;
+* any other slice by a compare-exchange that swaps only a strictly smaller
+  later value, or a non-NaN later value past a NaN, exchanging raw bits,
+  so ties (-0.0 and +0.0 among them) keep their input order and NaN
+  payloads move with their cells.
 
 One fusion loop, fuse_slices, runs over per-disparity lists of the n
 views' slices.  fuse feeds it from whole volumes; the dense pipeline feeds
@@ -73,15 +79,33 @@ def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -
     bits ^= x
 
 
-def _order_cells(rows: list[np.ndarray], work: _Scratch) -> None:
-    """Sort n float32 rows ascending per cell, in place: stable, NaN last.
+# +inf's bits: a float32 whose bits are at most this is in [+0.0, +inf]
+_CLEAN_MAX_BITS = 0x7F800000
+
+
+def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
+    """Sort n float32 rows ascending per cell into the bits a stable sort
+    with NaN last gives, and return the n sorted arrays.
 
     Odd-even transposition: n rounds of compare-exchange on adjacent rows.
-    Each exchange moves raw bits: x = lo ^ hi, zeroed where the pair keeps
-    its order, then lo ^= x and hi ^= x.
+    On a clean slice (every cost in [+0.0, +inf]: no NaN, no -0.0, no
+    negative) an exchange is a uint32 minimum into a spare array (first
+    work.x) and a maximum in place, and then the spare and the old lower
+    row trade places, so the result is some n of the rows and work.x.  Any
+    other slice is sorted in place by exchanging raw bits: x = lo ^ hi,
+    zeroed where the pair keeps its order, then lo ^= x and hi ^= x.
+    Either way the rows' old contents are used up.
     """
     bits = [row.view(np.uint32) for row in rows]
     n = len(rows)
+    if max(b.max(initial=0) for b in bits) <= _CLEAN_MAX_BITS:
+        spare = work.x
+        for rnd in range(n):
+            for i in range(rnd % 2, n - 1, 2):
+                np.minimum(bits[i], bits[i + 1], out=spare)
+                np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
+                bits[i], spare = spare, bits[i]
+        return [b.view(np.float32) for b in bits]
     x, swap = work.x, work.swap
     for rnd in range(n):
         for i in range(rnd % 2, n - 1, 2):
@@ -94,6 +118,7 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> None:
             x *= swap
             bits[i] ^= x
             bits[i + 1] ^= x
+    return rows
 
 
 def _fuse_slice(
@@ -139,11 +164,11 @@ def fuse_slices(
     """The fusion loop: one fused float32 (H, W) slice per list of the n
     views' float32 slices of one disparity, in order.
 
-    Each list is ordered in place, so its arrays must be scratch the caller
-    is done with; a single view's slice passes through as it is.  Each
-    yielded slice is scratch as well, valid until the next is asked for.  The
-    strategy and heuristic_factor (positive and finite) are checked before
-    any slice is read.
+    Each list's arrays are used up as ordering scratch, so they must be
+    arrays the caller is done with; a single view's slice passes through
+    as it is.  Each yielded slice is scratch as well, valid until the next
+    is asked for.  The strategy and heuristic_factor (positive and finite)
+    are checked before any slice is read.
     """
     if not isinstance(strategy, FusionStrategy):
         raise InputError(f"unknown fusion strategy {strategy!r}")
@@ -158,8 +183,7 @@ def fuse_slices(
                 continue
             if work is None:
                 work = _Scratch(rows[0].shape)
-            _order_cells(rows, work)
-            _fuse_slice(rows, strategy, heuristic_factor, work)
+            _fuse_slice(_order_cells(rows, work), strategy, heuristic_factor, work)
             yield work.out
 
     return stream()

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: pipelines, determinism, exit codes."""
 
+import json
 import os
 import shutil
 import struct
@@ -608,13 +609,14 @@ _SYNTH_ARGS = ["synth", "--scenes", "1", "--seed", "1", "--width", "16",
                "--height", "12", "--disp-max", "3"]
 
 
-def _run_child(argv):
-    """Run argv with a PYTHONPATH that puts the package under test first."""
+def _run_child(argv, **kw):
+    """Run argv with a PYTHONPATH that puts the package under test first;
+    kw goes to subprocess.run."""
     src_root = str(Path(multiscopic.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + (os.pathsep + inherited if inherited else "")
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, **kw)
 
 
 def _assert_usage_error(proc):
@@ -674,6 +676,57 @@ def test_out_of_memory_exits_one_with_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# run(argv) for each argv of a JSON list, in one process, printing one JSON
+# line [exit code, stdout, stderr] per command
+_RUN_EACH = """\
+import contextlib, io, json, sys
+from multiscopic.cli import run
+
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path):
+    # the parser is built once per process; no command may leave state in
+    # it that changes a later one, so every command's exit code, output and
+    # files equal those of a fresh process (outputs are relative to the
+    # working directory, so run.txt compares byte for byte)
+    scene = str(_synth(tmp_path) / "scene_0000")
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text("max_sweeps=1\nupscale=1\nlambda1=4\n")
+    commands = [
+        ["disparity", "--in", scene, "--rho", "1", "--d-max", "3", "--out", "disp"],
+        ["disparity", "--in", scene, "--bogus", "1", "--out", "bad"],
+        ["gc", "--config", str(cfg), "--in", scene, "--d-max", "3", "--out", "gc_cfg"],
+        ["gc", "--in", scene, "--d-max", "3", "--out", "gc"],
+    ]
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+
+    def results(argvs, cwd):
+        proc = _run_child([sys.executable, "-c", _RUN_EACH, json.dumps(argvs)], cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    together = results(commands, one)
+    apart = [r for argv in commands for r in results([argv], fresh)]
+    assert together == apart
+    assert [code for code, _, _ in together] == [0, 1, 0, 0]
+    bad_err = together[1][2]
+    assert [line for line in bad_err.splitlines() if line.startswith("error:")] == [
+        "error: unrecognized arguments: --bogus 1"
+    ]
+    assert _tree_bytes(one) == _tree_bytes(fresh)
+    assert sorted(p.name for p in one.iterdir()) == ["disp", "gc", "gc_cfg"]
+    assert "max_sweeps=1" in (one / "gc_cfg" / "run.txt").read_text()
+    assert "max_sweeps=8" in (one / "gc" / "run.txt").read_text()
 
 
 @pytest.mark.parametrize("flags, what", [

@@ -118,6 +118,24 @@ def test_sad_matches_oracle_int_images(direction):
         np.testing.assert_array_equal(got.costs, want, err_msg=str((h, w, rho, d_max)))
 
 
+# (rho, h, w): the block sums of the exact path reach (2*rho+1)^2 * 255
+# in their integer type: rho 7 is the largest uint16 sum (57,375), rho 8
+# the smallest past it (73,695), rho 127 the largest below 2^24
+@pytest.mark.parametrize("rho, h, w", [(0, 3, 4), (7, 3, 4), (8, 3, 4), (127, 1, 2)])
+def test_sad_block_sums_reach_their_integer_type_bounds(rho, h, w):
+    checker = np.indices((h, w)).sum(axis=0) % 2 * np.float32(255.0)
+    pairs = [
+        (np.zeros((h, w), dtype=np.float32), np.full((h, w), 255.0, dtype=np.float32)),
+        (checker, np.float32(255.0) - checker),
+    ]
+    for ref, tgt in pairs:
+        got = sad_cost_volume(Image(ref), Image(tgt), Direction.RIGHT,
+                              BlockMatchParams(rho=rho, d_min=0, d_max=1))
+        want = sad_oracle(ref, tgt, "right", rho, 0, 1, exact_f32=True)
+        np.testing.assert_array_equal(got.costs, want)
+        assert got.costs[0].max() == (2 * rho + 1) ** 2 * 255
+
+
 def test_sad_wide_block_keeps_the_row_major_order():
     # (2*128+1)^2 * 255 = 16842495 is past 2^24, so the sums round and only
     # the row-major order gives the oracle's bits (a separable sum gives

@@ -190,6 +190,53 @@ def test_fusion_bytes_match_stable_sort_reference_with_ties(n, strategy):
         assert got.tobytes() == want.tobytes()
 
 
+_CLEAN_LEVELS = np.array(
+    [0.0, 1.0, 2.0, 5.0, 7.0, LARGE_COST, np.inf, np.finfo(np.float32).max], dtype=np.float32
+)
+
+
+def _clean_stack(n, seed):
+    """(n, 3, 64, 72) costs drawn from _CLEAN_LEVELS: every cost in
+    [+0.0, +inf], so the slices take the min/max ordering."""
+    rng = np.random.default_rng(seed)
+    return _CLEAN_LEVELS[rng.integers(0, len(_CLEAN_LEVELS), size=(n, 3, 64, 72))]
+
+
+def _assert_fuse_matches_reference(stack, strategy, factor):
+    got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
+    with np.errstate(over="ignore"):
+        want = _sort_reference(stack, strategy, factor)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_fusion_bytes_match_stable_sort_reference_on_clean_slices(n, strategy):
+    # ties everywhere, +inf and the float32 maximum next to LARGE_COST, and
+    # no -0.0, NaN or negative cost anywhere
+    stack = _clean_stack(n, 80 + n)
+    for factor in (3.0, 0.5, 1e308):
+        _assert_fuse_matches_reference(stack, strategy, factor)
+
+
+def _quiet_nan(payload):
+    return np.array([0x7FC00000 | payload], dtype=np.uint32).view(np.float32)[0]
+
+
+# one cell per case that makes an otherwise clean slice take the bit-exchange
+# ordering; under a looser guard the min/max ordering would sort -0.0 and a
+# negative cost last, and two NaNs by payload instead of in input order
+@pytest.mark.parametrize("strategy, cell", [
+    (FusionStrategy.MIN, [1.0, -0.0, 0.0]),
+    (FusionStrategy.MIN, [2.0, -3.0, 1.0]),
+    (FusionStrategy.MEAN, [_quiet_nan(2), 1.0, _quiet_nan(1)]),
+], ids=["negative-zero", "negative", "nan-payloads"])
+def test_fusion_one_unclean_cell_keeps_the_stable_order(strategy, cell):
+    stack = _clean_stack(len(cell), 90)
+    stack[:, 1, 10, 20] = cell
+    _assert_fuse_matches_reference(stack, strategy, 3.0)
+
+
 def test_fusion_overflowing_factor_is_exact_and_silent():
     # factor * c2 overflows to inf for the second cell: the exact answer
     # to c3 > factor * c2 is False there, and no warning is raised
