@@ -44,6 +44,23 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse args with the config file's flags put in front, so that
+        flags given on the command line win.  --config counts in every
+        spelling this parser takes (--config=FILE, a prefix no other flag
+        starts with, such as --conf), and the last one counts."""
+        args = list(sys.argv[1:] if args is None else args)
+        path = None
+        for i, token in enumerate(args):
+            name, eq, value = token.partition("=")
+            if [o for o in self._option_string_actions if o.startswith(name)] == ["--config"]:
+                path = value if eq else "".join(args[i + 1 : i + 2])
+        if path == "":
+            raise InputError("--config needs a path")
+        if path is not None:
+            args = _read_config(path) + args
+        return super().parse_known_args(args, namespace)
+
 
 def _read_text(path) -> str:
     try:
@@ -64,15 +81,6 @@ def _read_config(path: str) -> list[str]:
         key, value = line.split("=", 1)
         flags += ["--" + key.strip().replace("_", "-"), value.strip()]
     return flags
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise InputError("--config needs a path")
-    return [argv[0]] + _read_config(argv[i + 1]) + argv[1:]
 
 
 def _add_common(p: _Parser):
@@ -421,7 +429,7 @@ def run(argv: list[str]) -> int:
     """Parse argv and execute one subcommand; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_inject_config(list(argv)))
+        args = parser.parse_args(list(argv))
         return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1

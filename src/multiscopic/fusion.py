@@ -13,17 +13,15 @@ Cells at the LARGE_COST sentinel simply sort last, so a view whose sample
 left the frame never wins a fused cell.
 
 Each disparity slice is fused on its own.  Its n float32 costs per cell are
-ordered by an odd-even transposition network into the order a stable
-ascending sort with NaN last gives, bit for bit, in one of two ways:
+put into the order a stable ascending sort with NaN last gives, bit for
+bit, in one of two ways:
 
-* a clean slice, every cost in [+0.0, +inf] (all the matchers write), is
-  ordered by uint32 minimum/maximum of the bit patterns: on such floats
-  that order is the float order and equal costs have equal bits, so which
-  of two equal costs goes first cannot show;
-* any other slice by a compare-exchange that swaps only a strictly smaller
-  later value, or a non-NaN later value past a NaN, exchanging raw bits,
-  so ties (-0.0 and +0.0 among them) keep their input order and NaN
-  payloads move with their cells.
+* a clean slice, every cost in [+0.0, +inf] (all the matchers write), by
+  an odd-even transposition network of uint32 minimum/maximum on the bit
+  patterns: on such floats that order is the float order and equal costs
+  have equal bits, so which of two equal costs goes first cannot show;
+* any other slice by NumPy's stable sort, so ties (-0.0 and +0.0 among
+  them) keep their input order and NaN payloads move with their cells.
 
 One fusion loop, fuse_slices, runs over per-disparity lists of the n
 views' slices.  fuse feeds it from whole volumes; the dense pipeline feeds
@@ -56,12 +54,11 @@ class FusionStrategy(enum.Enum):
 
 class _Scratch:
     """Arrays the fusion loop reuses for every slice of one shape, so that it
-    allocates nothing per slice."""
+    allocates nothing per clean slice."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.x = np.empty(shape, dtype=np.uint32)
-        self.swap = np.empty(shape, dtype=bool)
-        self.hi_ok = np.empty(shape, dtype=bool)
+        self.outlier = np.empty(shape, dtype=bool)
         self.f64 = np.empty((3,) + shape, dtype=np.float64)
         self.x64 = np.empty(shape, dtype=np.uint64)
         self.out = np.empty(shape, dtype=np.float32)
@@ -87,38 +84,25 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
     """Sort n float32 rows ascending per cell into the bits a stable sort
     with NaN last gives, and return the n sorted arrays.
 
-    Odd-even transposition: n rounds of compare-exchange on adjacent rows.
-    On a clean slice (every cost in [+0.0, +inf]: no NaN, no -0.0, no
-    negative) an exchange is a uint32 minimum into a spare array (first
-    work.x) and a maximum in place, and then the spare and the old lower
-    row trade places, so the result is some n of the rows and work.x.  Any
-    other slice is sorted in place by exchanging raw bits: x = lo ^ hi,
-    zeroed where the pair keeps its order, then lo ^= x and hi ^= x.
-    Either way the rows' old contents are used up.
+    A clean slice (every cost in [+0.0, +inf]: no NaN, no -0.0, no
+    negative) goes through an odd-even transposition network: n rounds of
+    compare-exchange on adjacent rows, each a uint32 minimum into a spare
+    array (first work.x) and a maximum in place, after which the spare and
+    the old lower row trade places.  The result is some n of the rows and
+    work.x, and the rows' old contents are used up.  Any other slice goes
+    through NumPy's stable sort.
     """
     bits = [row.view(np.uint32) for row in rows]
+    if max(b.max(initial=0) for b in bits) > _CLEAN_MAX_BITS:
+        return list(np.sort(np.stack(rows), axis=0, kind="stable"))
     n = len(rows)
-    if max(b.max(initial=0) for b in bits) <= _CLEAN_MAX_BITS:
-        spare = work.x
-        for rnd in range(n):
-            for i in range(rnd % 2, n - 1, 2):
-                np.minimum(bits[i], bits[i + 1], out=spare)
-                np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
-                bits[i], spare = spare, bits[i]
-        return [b.view(np.float32) for b in bits]
-    x, swap = work.x, work.swap
+    spare = work.x
     for rnd in range(n):
         for i in range(rnd % 2, n - 1, 2):
-            lo, hi = rows[i], rows[i + 1]
-            # hi < lo, or lo is NaN, provided hi is not NaN
-            np.less_equal(lo, hi, out=swap)
-            np.logical_not(swap, out=swap)
-            swap &= np.equal(hi, hi, out=work.hi_ok)
-            np.bitwise_xor(bits[i], bits[i + 1], out=x)
-            x *= swap
-            bits[i] ^= x
-            bits[i + 1] ^= x
-    return rows
+            np.minimum(bits[i], bits[i + 1], out=spare)
+            np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
+            bits[i], spare = spare, bits[i]
+    return [b.view(np.float32) for b in bits]
 
 
 def _fuse_slice(
@@ -140,7 +124,7 @@ def _fuse_slice(
         return
     np.copyto(c2, srt[1])
     np.copyto(c3, srt[2])
-    outlier = work.swap
+    outlier = work.outlier
     # operands stay in the order of c1 + c2 + c3 and factor * c2: with two
     # NaN operands, the first one's sign and payload come out
     np.add(c1, c2, out=c1)

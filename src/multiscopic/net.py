@@ -185,25 +185,27 @@ def forward(net: FusionNet, volumes: list[CostVolume]) -> tuple[np.ndarray, Disp
     return prob, DisparityMap(disp.astype(np.float32))
 
 
-def _smooth_l1_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise smooth-L1 value and derivative."""
+def _smooth_l1_terms(pred: np.ndarray, gt: DisparityMap, mask: np.ndarray):
+    """Mean smooth-L1 error of pred against gt over the masked pixels, and
+    its derivative by each masked prediction (float64).  pred, gt and the
+    boolean mask must have one shape, and the mask must hold a pixel."""
+    if pred.shape != gt.values.shape or mask.shape != gt.values.shape:
+        raise InputError(
+            f"pred/gt/mask shapes differ: {pred.shape}, {gt.values.shape}, {mask.shape}"
+        )
+    if not mask.any():
+        raise InputError("empty evaluation mask")
+    x = pred.astype(np.float64)[mask] - gt.values.astype(np.float64)[mask]
     ax = np.abs(x)
     val = np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
     grad = np.where(ax < 1.0, x, np.sign(x))
-    return val, grad
+    return float(val.sum() / x.size), grad / x.size
 
 
 def smooth_l1(pred, gt: DisparityMap, mask: np.ndarray) -> float:
     """Mean smooth-L1 disparity error over the masked pixels (float64)."""
     pred_vals = pred.values if isinstance(pred, DisparityMap) else pred
-    mask = np.asarray(mask, dtype=bool)
-    if pred_vals.shape != gt.values.shape or mask.shape != gt.values.shape:
-        raise InputError("pred/gt/mask shapes differ")
-    if not mask.any():
-        raise InputError("empty evaluation mask")
-    x = pred_vals.astype(np.float64)[mask] - gt.values.astype(np.float64)[mask]
-    val, _ = _smooth_l1_terms(x)
-    return float(val.sum() / x.size)
+    return _smooth_l1_terms(pred_vals, gt, np.asarray(mask, dtype=bool))[0]
 
 
 def backward(
@@ -213,21 +215,16 @@ def backward(
 
     Reverse-mode accumulation through the regression, softmax, concat,
     upsampling, ReLUs and convolutions; shared stem gradients sum over the
-    input volumes.
+    input volumes.  gt and mask must have the volumes' (H, W).
     """
     prob, disp, cache = _forward_cached(net, volumes)
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise InputError("empty evaluation mask")
+    loss, grad = _smooth_l1_terms(disp, gt, mask)
     dtype = net.dtype
     cv = net.convs
 
-    x = disp.astype(np.float64)[mask] - gt.values.astype(np.float64)[mask]
-    val, grad = _smooth_l1_terms(x)
-    loss = float(val.sum() / x.size)
-
     g_disp = np.zeros(disp.shape, dtype=np.float64)
-    g_disp[mask] = grad / x.size
+    g_disp[mask] = grad
     g_disp = g_disp.astype(dtype)
 
     # d_hat = sum_k dvals[k] * prob[k]

@@ -282,10 +282,12 @@ def generate_dataset(
     return manifest
 
 
-def _read_as(path: Path, kind: type, what: str):
+def _read_as(path: Path, kind: type, what: str, shape: Optional[tuple[int, int]] = None):
     img = read_image(path)
     if not isinstance(img, kind):
         raise InputError(f"{path}: expected a {what}")
+    if shape not in (None, (img.height, img.width)):
+        raise InputError(f"{path}: shape {img.height, img.width} differs from center.pgm's {shape}")
     return img
 
 
@@ -294,20 +296,22 @@ def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[Di
 
     Requires center.pgm and at least one directional view; gt.pfm is
     optional (None when absent) so user-supplied rectified sets load too.
+    Every view and gt.pfm must have center.pgm's shape.
     """
     scene_dir = Path(scene_dir)
     center_path = scene_dir / "center.pgm"
     if not center_path.exists():
         raise InputError(f"{scene_dir}: no center.pgm")
     center = _read_as(center_path, Image, "grayscale image")
+    shape = (center.height, center.width)
     surround = []
     for direction in VIEW_ORDER:
         path = scene_dir / f"{direction.value}.pgm"
         if path.exists():
-            surround.append((direction, _read_as(path, Image, "grayscale image")))
+            surround.append((direction, _read_as(path, Image, "grayscale image", shape)))
     if not surround:
         raise InputError(f"{scene_dir}: no directional views found")
     mset = MultiscopicSet(center, surround)
     gt_path = scene_dir / "gt.pfm"
-    gt = _read_as(gt_path, DisparityMap, "disparity map") if gt_path.exists() else None
+    gt = _read_as(gt_path, DisparityMap, "disparity map", shape) if gt_path.exists() else None
     return mset, gt

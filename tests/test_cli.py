@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import multiscopic
-from multiscopic import CostVolume, load_volume, read_image, save_volume
+from multiscopic import CostVolume, DisparityMap, Image, load_volume, read_image, save_volume
 from multiscopic.cli import run
 
 
@@ -295,6 +295,35 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert "bad config line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [
+    ["--config={}"],
+    ["--conf", "{}"],
+    ["--conf={}"],
+], ids=["config-eq", "prefix", "prefix-eq"])
+def test_config_applies_in_every_spelling_the_parser_accepts(tmp_path, spelling):
+    data = _synth(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("rho=1\nd_max=5\n")
+
+    def manifest(name, flags):
+        out = tmp_path / name
+        assert run(["disparity", *flags, "--in", str(data / "scene_0000"),
+                    "--out", str(out)]) == 0
+        return {k: v for k, v in _manifest_values(out).items() if k != "out"}
+
+    want = manifest("plain", ["--config", str(cfg)])
+    assert want["rho"] == "1" and want["d_max"] == "5"
+    assert manifest("spelled", [f.format(cfg) for f in spelling]) == want
+
+
+@pytest.mark.parametrize("flags", [["--config"], ["--config="]], ids=["last", "empty"])
+def test_config_without_path_exits_one(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert run(["disparity", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == "error: --config needs a path\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -461,6 +490,27 @@ def test_disparity_truncated_center_reports_path(tmp_path, capsys):
     assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1",
                 "--d-max", "3", "--out", str(out)]) == 1
     _assert_one_error_line(capsys, center)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "gt.pfm"),
+    ("train", "left.pgm"),
+    ("disparity", "top.pgm"),
+    ("disparity", "gt.pfm"),
+])
+def test_scene_file_of_another_shape_is_named(tmp_path, capsys, command, name):
+    data = _synth(tmp_path)  # 12 x 16 views
+    path = data / "scene_0000" / name
+    small = np.ones((5, 7), dtype=np.float32)
+    multiscopic.write_image(path, DisparityMap(small) if name == "gt.pfm" else Image(small))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    io_flags = {"train": ["--data", str(data), "--epochs", "1", "--out", str(out / "net.mfn")],
+                "disparity": ["--in", str(data / "scene_0000"), "--out", str(out)]}[command]
+    assert run([command, *io_flags, "--rho", "1", "--d-max", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: shape (5, 7) differs from center.pgm's (12, 16)\n"
     assert not out.exists()
 
 

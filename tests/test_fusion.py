@@ -11,9 +11,12 @@ from multiscopic import (
     FusionStrategy,
     InputError,
     fuse,
+    load_volume,
+    save_volume,
     wta_disparity,
     wta_slices,
 )
+from multiscopic.cli import run
 
 from oracles import heuristic_oracle, wta_reference
 
@@ -235,6 +238,23 @@ def test_fusion_one_unclean_cell_keeps_the_stable_order(strategy, cell):
     stack = _clean_stack(len(cell), 90)
     stack[:, 1, 10, 20] = cell
     _assert_fuse_matches_reference(stack, strategy, 3.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_fuse_command_on_negative_zero_volumes_matches_stable_sort(tmp_path, n, strategy):
+    # -0.0 is the one unclean cost a .mcv file may hold, so this is the
+    # command-line route into the stable-sort ordering
+    rng = np.random.default_rng(70 + n)
+    levels = np.array([-0.0, 0.0, 1.0, 2.0, 5.0, LARGE_COST], dtype=np.float32)
+    stack = levels[rng.choice(len(levels), size=(n, 4, 24, 32), p=[0.2, 0.2, 0.2, 0.2, 0.1, 0.1])]
+    paths = [str(tmp_path / f"v{i}.mcv") for i in range(n)]
+    for path, costs in zip(paths, stack):
+        save_volume(path, _vol(costs))
+    out = tmp_path / "fused.mcv"
+    assert run(["fuse", "--volumes", *paths, "--fusion", strategy.value, "--out", str(out)]) == 0
+    want = _sort_reference(stack, strategy, 3.0)
+    assert load_volume(out).costs.tobytes() == want.tobytes()
 
 
 def test_fusion_overflowing_factor_is_exact_and_silent():

@@ -368,6 +368,19 @@ def test_backward_empty_mask_rejected():
         backward(net, vols, gt, np.zeros((6, 6), dtype=bool))
 
 
+@pytest.mark.parametrize("which", ["gt", "mask"])
+def test_backward_rejects_gt_or_mask_of_another_shape(which):
+    net = init_network(18)
+    vols, gt, mask = _sample(seed=19, n=2, d=4, h=5, w=7)
+    small = np.ones((3, 4), dtype=np.float32)
+    if which == "gt":
+        gt = DisparityMap(small)
+    else:
+        mask = small > 0
+    with pytest.raises(InputError, match=r"shapes differ: \(5, 7\), "):
+        backward(net, vols, gt, mask)
+
+
 # ----------------------------------------------------------------- training
 
 
