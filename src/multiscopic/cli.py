@@ -160,10 +160,17 @@ def _input_set(args):
     for direction in VIEW_ORDER:
         path = getattr(args, direction.value)
         if path:
-            surround.append((direction, _load_gray(path)))
+            surround.append((direction, path, _load_gray(path)))
     if not surround:
         raise InputError("need at least one of --left/--right/--top/--bottom")
-    return MultiscopicSet(_load_gray(args.center), surround)
+    center = _load_gray(args.center)
+    for _, path, img in surround:
+        if img.pixels.shape != center.pixels.shape:
+            raise InputError(
+                f"{path}: shape {img.pixels.shape} differs from {args.center}'s "
+                f"{center.pixels.shape}"
+            )
+    return MultiscopicSet(center, [(direction, img) for direction, _, img in surround])
 
 
 def _add_inputs(p: _Parser):

@@ -280,9 +280,12 @@ def occlusion_pass(
 
 
 def upscale_image(img: Image, factor: int) -> Image:
-    """Bilinear upscale by an integer factor; out[i*f, j*f] == in[i, j]."""
-    if factor == 1:
-        return Image(img.pixels.copy())
+    """Bilinear upscale by an integer factor; out[i*f, j*f] == in[i, j].
+
+    Factor 1 takes the same formula with zero weights, so it returns a copy
+    of the pixels except that a -0.0 pixel comes out +0.0 (no PGM, PPM luma
+    or synthesized image holds one).
+    """
     a = img.pixels.astype(np.float64)
     height, width = a.shape
     ys = np.arange(height * factor) / factor
@@ -364,7 +367,6 @@ def multiscopic_gc(
     up_set = MultiscopicSet(
         up_center,
         [(direction, upscale_image(img, s)) for direction, img in mset.surround],
-        mset.baseline_mm,
     )
     bm_up = BlockMatchParams(rho=bm.rho, d_min=bm.d_min * s, d_max=bm.d_max * s)
     # the per-view volumes are dead once fused: hold no name for them

@@ -133,7 +133,6 @@ class MultiscopicSet:
 
     center: Image
     surround: list[tuple[Direction, Image]]
-    baseline_mm: float = 20.0
 
     def __post_init__(self):
         if not self.surround:
@@ -147,8 +146,6 @@ class MultiscopicSet:
                 raise InputError(
                     f"{d.value} view shape {img.pixels.shape} does not match center {shape}"
                 )
-        if not self.baseline_mm > 0:
-            raise InputError("baseline must be positive")
 
     @property
     def width(self) -> int:

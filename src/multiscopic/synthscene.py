@@ -22,6 +22,8 @@ from .errors import InputError, SpecError
 from .imagery import Direction, DisparityMap, Image, MultiscopicSet, read_image, write_image
 
 VIEW_ORDER = (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)
+OCTAVES = 3  # value-noise octaves per layer texture
+RECT_FRAC = (0.2, 0.6)  # occluder side as a fraction of the frame, dataset scenes
 
 @dataclass
 class SceneLayer:
@@ -51,7 +53,6 @@ class SceneSpec:
     height: int
     layers: list[SceneLayer] = field(default_factory=list)
     noise_sigma: float = 0.0
-    octaves: int = 3
     base_cell: int = 8
     flat_patches: int = 0
 
@@ -64,8 +65,8 @@ class SceneSpec:
             raise InputError("the back layer must cover the full frame (rect=None)")
         if self.noise_sigma < 0:
             raise InputError("noise sigma must be >= 0")
-        if self.octaves < 1 or self.base_cell < 1:
-            raise InputError("texture parameters must be positive")
+        if self.base_cell < 1:
+            raise InputError("texture cell size must be positive")
 
     @property
     def max_disparity(self) -> int:
@@ -73,12 +74,12 @@ class SceneSpec:
 
 
 def _value_noise(rng: np.random.Generator, height: int, width: int,
-                 octaves: int, base_cell: int) -> np.ndarray:
-    """Seeded multi-octave value noise in [0, 1]."""
+                 base_cell: int) -> np.ndarray:
+    """Seeded OCTAVES-octave value noise in [0, 1]."""
     out = np.zeros((height, width), dtype=np.float64)
     amp = 1.0
     total = 0.0
-    for o in range(octaves):
+    for o in range(OCTAVES):
         cell = max(base_cell >> o, 1)
         ny = height // cell + 2
         nx = width // cell + 2
@@ -102,7 +103,7 @@ def _value_noise(rng: np.random.Generator, height: int, width: int,
 def _layer_texture(rng: np.random.Generator, spec: SceneSpec,
                    ext_h: int, ext_w: int) -> np.ndarray:
     """Texture over the extended domain, mapped to intensities [20, 235]."""
-    noise = _value_noise(rng, ext_h, ext_w, spec.octaves, spec.base_cell)
+    noise = _value_noise(rng, ext_h, ext_w, spec.base_cell)
     lo, hi = noise.min(), noise.max()
     if hi - lo > 1e-12:
         noise = (noise - lo) / (hi - lo)
@@ -121,7 +122,9 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[MultiscopicSet, Disparit
 
     Layers composite back to front; view v sees layer k shifted by
     Direction.offset(d_k).  Photometric Gaussian noise (seeded per view) is
-    added after compositing and clipped to [0, 255].
+    added after compositing and clipped to [0, 255].  The GT map is the
+    same compositor's noise-free center view of planes holding each
+    layer's disparity.
     """
     if spec.max_disparity > spec.width / 4:
         raise SpecError(
@@ -138,13 +141,13 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[MultiscopicSet, Disparit
 
     textures = [_layer_texture(r, spec, ext_h, ext_w) for r in tex_rngs]
 
-    def render(direction: Optional[Direction]) -> np.ndarray:
+    def render(planes: list[np.ndarray], direction: Optional[Direction]) -> np.ndarray:
         img = np.zeros((height, width), dtype=np.float64)
-        for layer, tex in zip(spec.layers, textures):
+        for layer, plane in zip(spec.layers, planes):
             ox, oy = direction.offset(layer.disparity) if direction else (0, 0)
-            # Layer texel visible at view pixel (x, y) is tex(x - ox, y - oy).
-            sampled = tex[margin - oy : margin - oy + height,
-                          margin - ox : margin - ox + width]
+            # Layer texel visible at view pixel (x, y) is plane(x - ox, y - oy).
+            sampled = plane[margin - oy : margin - oy + height,
+                            margin - ox : margin - ox + width]
             if layer.rect is None:
                 img[:] = sampled
             else:
@@ -157,34 +160,20 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[MultiscopicSet, Disparit
                     img[ya:yb, xa:xb] = sampled[ya:yb, xa:xb]
         return img
 
-    center = render(None)
-    views = [render(direction) for direction in VIEW_ORDER]
+    depth = [np.broadcast_to(float(layer.disparity), (ext_h, ext_w)) for layer in spec.layers]
+    gt = render(depth, None)
 
+    # center, then the views in VIEW_ORDER: noise_rngs[k] draws for image k
+    images = [render(textures, direction) for direction in (None, *VIEW_ORDER)]
     if spec.noise_sigma > 0:
-        center = center + noise_rngs[0].normal(0.0, spec.noise_sigma, center.shape)
-        views = [
-            v + r.normal(0.0, spec.noise_sigma, v.shape)
-            for v, r in zip(views, noise_rngs[1:])
+        images = [
+            img + r.normal(0.0, spec.noise_sigma, img.shape)
+            for img, r in zip(images, noise_rngs)
         ]
-    center = np.clip(center, 0.0, 255.0)
-    views = [np.clip(v, 0.0, 255.0) for v in views]
+    center, *views = [Image(np.clip(img, 0.0, 255.0).astype(np.float32)) for img in images]
 
-    gt = np.zeros((height, width), dtype=np.float32)
-    for layer in spec.layers:
-        if layer.rect is None:
-            gt[:] = layer.disparity
-        else:
-            x0, y0, w, h = layer.rect
-            xa, xb = max(x0, 0), min(x0 + w, width)
-            ya, yb = max(y0, 0), min(y0 + h, height)
-            if xa < xb and ya < yb:
-                gt[ya:yb, xa:xb] = layer.disparity
-
-    mset = MultiscopicSet(
-        Image(center.astype(np.float32)),
-        [(direction, Image(v.astype(np.float32))) for direction, v in zip(VIEW_ORDER, views)],
-    )
-    return mset, DisparityMap(gt)
+    mset = MultiscopicSet(center, list(zip(VIEW_ORDER, views)))
+    return mset, DisparityMap(gt.astype(np.float32))
 
 
 @dataclass
@@ -195,17 +184,14 @@ class DatasetRanges:
     height: int = 64
     layer_count: tuple[int, int] = (2, 4)
     disparity: tuple[int, int] = (1, 12)
-    rect_frac: tuple[float, float] = (0.2, 0.6)  # occluder size as frame fraction
     noise_sigma: tuple[float, float] = (0.0, 1.0)
     base_cell: tuple[int, int] = (5, 10)
-    octaves: int = 3
     flat_patches: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if not all(math.isfinite(s) and s >= 0 for s in self.noise_sigma):
             raise InputError(f"noise sigma range {self.noise_sigma} must be finite and >= 0")
-        for name in ("layer_count", "disparity", "rect_frac", "noise_sigma", "base_cell",
-                     "flat_patches"):
+        for name in ("layer_count", "disparity", "noise_sigma", "base_cell", "flat_patches"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise InputError(f"{name} range ({lo}, {hi}) needs min <= max")
@@ -224,8 +210,8 @@ def sample_spec(ranges: DatasetRanges, rng: np.random.Generator) -> SceneSpec:
     )
     layers = [SceneLayer(dis[0], None)]
     for d in dis[1:]:
-        fw = rng.uniform(*ranges.rect_frac)
-        fh = rng.uniform(*ranges.rect_frac)
+        fw = rng.uniform(*RECT_FRAC)
+        fh = rng.uniform(*RECT_FRAC)
         w = max(int(fw * ranges.width), 2)
         h = max(int(fh * ranges.height), 2)
         x0 = int(rng.integers(0, max(ranges.width - w, 1)))
@@ -236,7 +222,6 @@ def sample_spec(ranges: DatasetRanges, rng: np.random.Generator) -> SceneSpec:
         height=ranges.height,
         layers=layers,
         noise_sigma=float(rng.uniform(*ranges.noise_sigma)),
-        octaves=ranges.octaves,
         base_cell=int(rng.integers(ranges.base_cell[0], ranges.base_cell[1] + 1)),
         flat_patches=int(rng.integers(ranges.flat_patches[0], ranges.flat_patches[1] + 1)),
     )
@@ -248,7 +233,8 @@ def generate_dataset(
     """Write n randomized scenes under outdir; returns the manifest.
 
     Layout per scene: scene_%04d/{center,left,right,top,bottom}.pgm, gt.pfm
-    and meta.txt (key=value).  A manifest.txt with one scene directory per
+    and meta.txt (d_max=, the largest layer disparity, and seed=, the
+    generate_scene seed).  A manifest.txt with one scene directory per
     line is written alongside.  Byte-identical for identical (ranges, n,
     seed).
     """
@@ -271,12 +257,7 @@ def generate_dataset(
         for direction, img in mset.surround:
             write_image(sdir / f"{direction.value}.pgm", img)
         write_image(sdir / "gt.pfm", gt)
-        meta = (
-            f"baseline={mset.baseline_mm}\n"
-            f"d_max={spec.max_disparity}\n"
-            f"seed={scene_seed}\n"
-        )
-        (sdir / "meta.txt").write_text(meta)
+        (sdir / "meta.txt").write_text(f"d_max={spec.max_disparity}\nseed={scene_seed}\n")
         manifest.append(name)
     (outdir / "manifest.txt").write_text("".join(m + "\n" for m in manifest))
     return manifest

@@ -514,6 +514,21 @@ def test_scene_file_of_another_shape_is_named(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["disparity", "gc", "cost"])
+def test_view_file_of_another_shape_is_named(tmp_path, capsys, command):
+    center, left, right = (tmp_path / f"{n}.pgm" for n in ("c", "l", "r"))
+    rng = np.random.default_rng(0)
+    multiscopic.write_image(center, Image(rng.integers(0, 256, (20, 24)).astype(np.float32)))
+    multiscopic.write_image(left, Image(rng.integers(0, 256, (20, 24)).astype(np.float32)))
+    multiscopic.write_image(right, Image(np.ones((5, 7), dtype=np.float32)))
+    out = tmp_path / "out"
+    assert run([command, "--center", str(center), "--left", str(left), "--right", str(right),
+                "--rho", "1", "--d-max", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {right}: shape (5, 7) differs from {center}'s (20, 24)\n"
+    assert not out.exists()
+
+
 def _assert_plain_error(capsys, what):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and what in err, err

@@ -86,8 +86,6 @@ def test_multiscopic_set_validation():
         )
     with pytest.raises(InputError):
         MultiscopicSet(center=c, surround=[(Direction.LEFT, _rand_gray(RNG, 4, 5))])
-    with pytest.raises(InputError):
-        MultiscopicSet(center=c, surround=[(Direction.LEFT, r)], baseline_mm=0.0)
 
 
 def test_direction_offsets():

@@ -1,5 +1,7 @@
 """Procedural scenes: view-consistency geometry, exact GT, dataset layout."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,6 @@ def _small_ranges():
     [
         ("layer_count", (3, 1)),
         ("disparity", (3, 2)),
-        ("rect_frac", (0.6, 0.2)),
         ("noise_sigma", (5.0, 1.0)),
         ("noise_sigma", (float("nan"), float("nan"))),
         ("noise_sigma", (0.0, float("inf"))),
@@ -238,6 +239,30 @@ def test_generate_dataset_byte_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def _pixel_digest(root):
+    """SHA-256 over the relative path and bytes of every .pgm and .pfm."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.suffix in (".pgm", ".pfm"):
+            h.update(p.relative_to(root).as_posix().encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def test_generate_dataset_digest(tmp_path):
+    """Pins what synth writes: every view and GT byte, and the meta.txt keys."""
+    small = tmp_path / "small"
+    generate_dataset(_small_ranges(), 3, seed=12, outdir=small)
+    wide = tmp_path / "wide"
+    generate_dataset(DatasetRanges(width=64, height=48, disparity=(0, 12)), 2, seed=7,
+                     outdir=wide)
+    assert _pixel_digest(small) == "d09aa3dc39e685648e521aeb28db1262e78dedb31be2a211ff2ddce8faf9f54b"
+    assert _pixel_digest(wide) == "6b24fdaea99fcf0e33c8588934334f29eb35ca6306d59d8166b97bc5a80578d8"
+    for meta in sorted(tmp_path.rglob("meta.txt")):
+        keys = [line.split("=", 1)[0] for line in meta.read_text().splitlines()]
+        assert keys == ["d_max", "seed"], meta
 
 
 def test_dataset_gt_survives_disk_exactly(tmp_path):
