@@ -328,13 +328,17 @@ def _cmd_eval(args) -> int:
     )
     sys.stdout.write(table)
     if args.out:
-        Path(args.out).write_text(table)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(table)
     return 0
 
 
 def _cmd_colorize(args) -> int:
     dmap = _read_disparity(Path(getattr(args, "in")))
-    write_image(Path(args.out), colorize_jet(dmap, args.d_max))
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_image(out, colorize_jet(dmap, args.d_max))
     print(f"wrote {args.out}")
     return 0
 

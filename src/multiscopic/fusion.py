@@ -29,9 +29,20 @@ it from the matchers (costvol.multiscopic_slices) and its fused slices go
 straight into the running-argmin WTA (wta_slices), so that pipeline never
 holds a volume.
 
-Internals run in float64 with ascending-order summation so the pointwise
-ordering MIN <= HEURISTIC <= MEAN survives the final float32 cast (rounding
-is monotone).
+MEAN and HEURISTIC arithmetic runs in float64 with ascending-order
+summation and one rounding to float32, so the pointwise ordering MIN <=
+HEURISTIC <= MEAN survives the cast (rounding is monotone).  HEURISTIC
+takes float32 instead on a slice where a data-only guard (_float32_is_exact)
+shows that float32 gives the same bits: a clean slice, an integer factor
+f < 2**24, integer c1, c2, c3 and (f+2)*c2 < 2**24 in every cell.  Then
+f*c2 and every sum that is kept are exact integers below 2**24, and the one
+float32 division by 3 rounds as the float64 one does.  SAD's integer
+costs meet the guard at the default factor 3 while the second-smallest
+cost stays below 2**24/5 (on 8-bit images, any block up to rho 56 when
+that cost is no sentinel); BT's halves do not.
+
+The WTA keeps its running minimum with np.minimum while every slice so far
+is clean, and by a select on the strictly-smaller mask once one is not.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ class _Scratch:
         self.outlier = np.empty(shape, dtype=bool)
         self.f64 = np.empty((3,) + shape, dtype=np.float64)
         self.x64 = np.empty(shape, dtype=np.uint64)
+        self.f32 = np.empty(shape, dtype=np.float32)  # never one of the ordered rows
         self.out = np.empty(shape, dtype=np.float32)
 
 
@@ -80,9 +92,16 @@ def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -
 _CLEAN_MAX_BITS = 0x7F800000
 
 
-def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
+def _is_clean(a: np.ndarray) -> bool:
+    """Whether every float32 of a is in [+0.0, +inf]: no NaN, no -0.0 and
+    nothing negative, so that equal values have equal bits."""
+    return a.view(np.uint32).max(initial=0) <= _CLEAN_MAX_BITS
+
+
+def _order_cells(rows: list[np.ndarray], work: _Scratch) -> tuple[list[np.ndarray], bool]:
     """Sort n float32 rows ascending per cell into the bits a stable sort
-    with NaN last gives, and return the n sorted arrays.
+    with NaN last gives, and return the n sorted arrays and whether the
+    slice was clean.
 
     A clean slice (every cost in [+0.0, +inf]: no NaN, no -0.0, no
     negative) goes through an odd-even transposition network: n rounds of
@@ -92,9 +111,9 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
     work.x, and the rows' old contents are used up.  Any other slice goes
     through NumPy's stable sort.
     """
+    if not all(_is_clean(row) for row in rows):
+        return list(np.sort(np.stack(rows), axis=0, kind="stable")), False
     bits = [row.view(np.uint32) for row in rows]
-    if max(b.max(initial=0) for b in bits) > _CLEAN_MAX_BITS:
-        return list(np.sort(np.stack(rows), axis=0, kind="stable"))
     n = len(rows)
     spare = work.x
     for rnd in range(n):
@@ -102,20 +121,65 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
             np.minimum(bits[i], bits[i + 1], out=spare)
             np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
             bits[i], spare = spare, bits[i]
-    return [b.view(np.float32) for b in bits]
+    return [b.view(np.float32) for b in bits], True
+
+
+def _float32_is_exact(c: list[np.ndarray], clean: bool, factor: float | None, work: _Scratch) -> bool:
+    """Whether float32 arithmetic gives a HEURISTIC slice the float64
+    formula's bits, from the ordered rows c1, c2, c3 alone.
+
+    factor is the heuristic factor when it is an integer below 2**24, else
+    None.  Checked cheapest first: the slice is clean, factor is not None,
+    c2 < 2**24 / (factor + 2) everywhere (taken as a product, which float64
+    holds exactly: 24 by 25 significant bits), and c1, c2 and c3 are
+    integers (+inf counts as one).  Then, with c1 <= c2:
+
+    * factor*c2 < 2**24 is an exact integer, so c3 > factor*c2 has the
+      same outcome in both, whatever c3 holds (LARGE_COST, +inf);
+    * an outlier cell's c1 + c2 < 2**24 is exact, and so is its half;
+    * a non-outlier cell has c3 <= factor*c2, so c1 + c2 + c3 <=
+      (factor + 2)*c2 < 2**24 is exact, and its /3 is one correctly rounded
+      float32 division, which equals the float64 quotient rounded to
+      float32 since 53 >= 2*24 + 2 (Figueroa, "When is double rounding
+      innocuous?", SIGNUM 1995).
+    """
+    if not clean or factor is None or float(c[1].max(initial=0)) * (factor + 2) >= 2**24:
+        return False
+    for row in c:
+        np.rint(row, out=work.f32)
+        np.not_equal(row, work.f32, out=work.outlier)
+        if work.outlier.any():
+            return False
+    return True
 
 
 def _fuse_slice(
-    srt: list[np.ndarray], strategy: FusionStrategy, heuristic_factor: float, work: _Scratch
+    srt: list[np.ndarray],
+    clean: bool,
+    strategy: FusionStrategy,
+    heuristic_factor: float,
+    factor32: float | None,
+    work: _Scratch,
 ) -> None:
-    """Fused costs of one disparity slice from its ordered rows, computed in
-    float64 and rounded once into work.out."""
+    """Fused costs of one disparity slice from its ordered rows into
+    work.out: computed in float64 and rounded once, or for HEURISTIC in
+    float32 where _float32_is_exact says that gives the same bits."""
     n = len(srt)
+    if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
+        np.copyto(work.out, srt[0])
+        return
+    if strategy is FusionStrategy.HEURISTIC and _float32_is_exact(srt[:3], clean, factor32, work):
+        c1, c2, c3 = srt[:3]  # used-up scratch, overwritten here
+        np.multiply(np.float32(factor32), c2, out=work.f32)
+        np.greater(c3, work.f32, out=work.outlier)
+        np.add(c1, c2, out=c1)
+        np.add(c1, c3, out=work.out)
+        np.divide(work.out, np.float32(3.0), out=work.out)
+        np.divide(c1, np.float32(2.0), out=c1)
+        np.copyto(work.out, c1, where=work.outlier)
+        return
     c1, c2, c3 = work.f64
     np.copyto(c1, srt[0])
-    if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
-        np.copyto(work.out, c1)
-        return
     if strategy is FusionStrategy.MEAN:
         for i in range(1, n):
             c1 += srt[i]
@@ -159,6 +223,12 @@ def fuse_slices(
     if not 0 < heuristic_factor < np.inf:
         raise InputError(f"heuristic_factor must be positive and finite, got {heuristic_factor}")
 
+    # the factor the float32 path takes: an integer below 2**24, which
+    # float32 holds exactly
+    factor32 = None
+    if float(heuristic_factor).is_integer() and heuristic_factor < 2**24:
+        factor32 = float(heuristic_factor)
+
     def stream():
         work = None
         for rows in slice_lists:
@@ -167,7 +237,8 @@ def fuse_slices(
                 continue
             if work is None:
                 work = _Scratch(rows[0].shape)
-            _fuse_slice(_order_cells(rows, work), strategy, heuristic_factor, work)
+            srt, clean = _order_cells(rows, work)
+            _fuse_slice(srt, clean, strategy, heuristic_factor, factor32, work)
             yield work.out
 
     return stream()
@@ -238,16 +309,24 @@ def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) 
         prev = best.copy()
         fresh = np.ones_like(k_star)  # k* is the slice read last
     depth = 1
+    # holds while every slice so far, the first included, is clean: then
+    # best is clean too, so the minimum has the select's bits (equal clean
+    # costs have equal bits), and there is no NaN to scan for
+    clean = _is_clean(best)
     for k, s in enumerate(it, start=1):
         s = np.asarray(s, dtype=np.float32)
         depth += 1
         if subpixel:
             _select(hi, s, fresh, x)
         np.less(s, best, out=better)
-        if np.isnan(s).any():
+        clean = clean and _is_clean(s)
+        if not clean and np.isnan(s).any():
             better |= np.isnan(s) & ~np.isnan(best)
         np.copyto(take, better)
-        _select(best, s, take, x)
+        if clean:
+            np.minimum(best, s, out=best)
+        else:
+            _select(best, s, take, x)
         # k exceeds every index so far: max(k*, k * take) is k where taken
         np.maximum(k_star, np.multiply(take, k, out=k_new), out=k_star)
         if subpixel:
@@ -262,7 +341,10 @@ def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) 
     if subpixel and depth >= 3:
         c_lo = lo.astype(np.float64)
         c_hi = hi.astype(np.float64)
-        denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
+        # a pixel at +inf makes inf - inf here, which ok leaves out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
+            offset = (c_lo - c_hi) / denom
         ok = (
             (k_star > 0)
             & (k_star < depth - 1)
@@ -270,8 +352,6 @@ def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) 
             & (lo < LARGE_COST)
             & (hi < LARGE_COST)
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            offset = (c_lo - c_hi) / denom
         disp = np.where(ok, disp + offset, disp)
 
     disp = disp.astype(np.float32)

@@ -247,10 +247,10 @@ def wta_reference(costs, d_min, subpixel=True):
         hi = np.take_along_axis(costs, np.minimum(k_idx + 1, depth - 1), axis=0)[0]
         c_lo = lo.astype(np.float64)
         c_hi = hi.astype(np.float64)
-        denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
-        ok = (k_star > 0) & (k_star < depth - 1) & (denom > 0) & (lo < LARGE) & (hi < LARGE)
         with np.errstate(divide="ignore", invalid="ignore"):
+            denom = 2.0 * c_lo + 2.0 * c_hi - 4.0 * c0.astype(np.float64)
             offset = (c_lo - c_hi) / denom
+        ok = (k_star > 0) & (k_star < depth - 1) & (denom > 0) & (lo < LARGE) & (hi < LARGE)
         disp = np.where(ok, disp + offset, disp)
 
     disp = disp.astype(np.float32)

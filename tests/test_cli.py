@@ -831,6 +831,17 @@ def test_eval_and_colorize_reject_meaningless_values(tmp_path, capsys, argv, wha
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "colorize"])
+def test_eval_and_colorize_create_the_out_parent(tmp_path, command):
+    # as fuse, train and disparity do
+    data = _synth(tmp_path)
+    gt = str(data / "scene_0000" / "gt.pfm")
+    out = tmp_path / "new" / "dir" / "out"
+    io_flags = {"eval": ["--pred", gt, "--gt", gt], "colorize": ["--in", gt]}[command]
+    assert run([command, *io_flags, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
 def test_colorize_tiny_d_max_is_silent(tmp_path):
     data = _synth(tmp_path)
     out = tmp_path / "jet.ppm"

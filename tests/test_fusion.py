@@ -11,6 +11,7 @@ from multiscopic import (
     FusionStrategy,
     InputError,
     fuse,
+    fusion,
     load_volume,
     save_volume,
     wta_disparity,
@@ -265,6 +266,80 @@ def test_fusion_overflowing_factor_is_exact_and_silent():
     np.testing.assert_array_equal(got, np.array([[[0.0, 3.0]]], dtype=np.float32))
 
 
+@pytest.fixture
+def float32_paths(monkeypatch):
+    """The HEURISTIC guard's answers, one per slice it sees, in order."""
+    taken = []
+    guard = fusion._float32_is_exact
+
+    def spy(*args):
+        taken.append(guard(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(fusion, "_float32_is_exact", spy)
+    return taken
+
+
+def _guard_edge_stack(n, f, seed):
+    """(n, 3, 16, 64) integer-valued costs for an integer factor f, one
+    slice per edge of the float32 guard, with the views shuffled per cell:
+
+    0. c2 up to the largest integer with (f+2)*c2 < 2**24 and c3 at f*c2,
+       just below it, f*c2 + 1, LARGE_COST or +inf, so that non-outlier sums
+       come within a few thousand of 2**24;
+    1. c2 past that bound but below 2**24/(f+1), non-outlier sums past
+       2**24, where float32 addition rounds;
+    2. c2 as in 0 and c3 = c2 + k + 1/2 (k < 1000): at f = 3 non-outlier
+       cells whose c1 + c2 + c3 > 2**23 float32 cannot hold, at f = 1
+       outliers.
+
+    Views beyond the third cost at least c3.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (16, 64)
+    top = (2**24 - 1) // (f + 2)
+    c2 = np.stack([
+        top - rng.integers(0, 1000, shape),
+        rng.integers(top + 1, (2**24 - 1) // (f + 1) + 1, shape),
+        top - rng.integers(0, 1000, shape),
+    ]).astype(np.float64)
+    c2[0, 0, 0] = top
+    c1 = np.maximum(c2 - rng.integers(0, 1000, c2.shape), 0)
+    c3 = np.maximum(f * c2 - rng.integers(0, 3, c2.shape) * rng.integers(0, 1000, c2.shape), c2)
+    over = [f * c2[0] + 1, np.full(shape, LARGE_COST), np.full(shape, np.inf)]
+    pick = rng.integers(0, 6, shape)
+    for i, value in enumerate(over):
+        c3[0][pick == i] = value[pick == i]
+    c3[2] = c2[2] + rng.integers(0, 1000, shape) + 0.5
+    rows = [c1, c2, c3]
+    extra = np.array([0, 1, LARGE_COST, np.inf])
+    rows += [np.maximum(c3, extra[rng.integers(0, 4, c3.shape)]) for _ in range(n - 3)]
+    return rng.permuted(np.stack(rows).astype(np.float32), axis=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("f", [1, 3])
+def test_fusion_float32_guard_edges_match_stable_sort_reference(float32_paths, n, f):
+    stack = _guard_edge_stack(n, f, 100 * f + n)
+    for factor in (1, 3, 0.5, 1e308):
+        float32_paths.clear()
+        _assert_fuse_matches_reference(stack, FusionStrategy.HEURISTIC, factor)
+        if factor == f:
+            assert float32_paths == [True, False, False]
+        elif factor in (0.5, 1e308):
+            assert float32_paths == [False, False, False]
+
+
+@pytest.mark.parametrize("matcher, float32", [("sad", True), ("bt", False)])
+def test_dense_heuristic_takes_float32_exactly_on_integer_costs(tmp_path, float32_paths, matcher, float32):
+    # SAD costs on 8-bit images are integers; BT's interpolated costs are halves
+    assert run(["synth", "--scenes", "1", "--seed", "9", "--out", str(tmp_path / "d"),
+                "--width", "40", "--height", "30", "--disp-min", "0", "--disp-max", "6"]) == 0
+    assert run(["disparity", "--in", str(tmp_path / "d" / "scene_0000"), "--matcher", matcher,
+                "--fusion", "heuristic", "--d-min", "0", "--d-max", "6", "--out", str(tmp_path / "out")]) == 0
+    assert float32_paths == [float32] * 7
+
+
 # ------------------------------------------------------------------- WTA
 
 
@@ -333,12 +408,14 @@ def test_wta_recovers_known_disparity():
     assert (d.values == 4.0).all()
 
 
-def _wta_cases(depth):
+def _wta_cases(depth, clean=False):
     """(depth, 24, 32) costs holding every case the first-minimum rule and
-    the parabola have to get right, row band by row band."""
+    the parabola have to get right, row band by row band.  With clean,
+    every cost is in [+0.0, +inf]: the ties band has no -0.0 and the NaN
+    band holds +inf instead."""
     rng = np.random.default_rng(80 + depth)
     shape = (depth, 4, 32)
-    levels = np.array([0.0, -0.0, 1.0, 2.0, 3.5], dtype=np.float32)
+    levels = np.array([0.0, 1.0, 2.0, 3.5] if clean else [0.0, -0.0, 1.0, 2.0, 3.5], dtype=np.float32)
     bands = [
         levels[rng.integers(0, len(levels), size=shape)],  # ties and plateaus
         np.full(shape, LARGE_COST, dtype=np.float32),  # all-sentinel pixels
@@ -351,17 +428,15 @@ def _wta_cases(depth):
     runs[(k >= starts) & (k < stops)] = LARGE_COST  # LARGE_COST runs
     bands.append(runs)
     nans = levels[rng.integers(0, len(levels), size=shape)]
-    nans[rng.random(shape) < 0.2] = np.nan  # NaN cells, some pixels with two
+    # NaN cells (+inf when clean), some pixels with two
+    nans[rng.random(shape) < 0.2] = np.inf if clean else np.nan
     bands.append(nans)
     plateau = np.repeat(rng.uniform(0, 5, size=(1,) + shape[1:]).astype(np.float32), depth, 0)
     bands.append(plateau)  # one cost at every disparity
     return np.concatenate(bands, axis=1)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 9])
-@pytest.mark.parametrize("subpixel", [False, True])
-def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
-    costs = _wta_cases(depth)
+def _assert_wta_matches_reference(costs, subpixel):
     want = wta_reference(costs, 3, subpixel)
     got = wta_disparity(_vol(costs, d_min=3), subpixel).values
     assert got.tobytes() == want.tobytes()
@@ -375,3 +450,28 @@ def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
             buf[...] = np.nan  # a consumer must not read a slice after the next
 
     assert wta_slices(scratch(), 3, subpixel).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("subpixel", [False, True])
+def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
+    _assert_wta_matches_reference(_wta_cases(depth), subpixel)
+
+
+@pytest.mark.parametrize("depth", range(1, 10))
+@pytest.mark.parametrize("subpixel", [False, True])
+def test_wta_bytes_match_whole_volume_reference_on_clean_slices(depth, subpixel):
+    # all slices clean (the running minimum throughout), then the same
+    # slices with slice k made unclean by -0.0 in place of +0.0 or by NaN
+    # cells, so that the clean slices after it come to a best holding -0.0
+    # or NaN
+    clean = _wta_cases(depth, clean=True)
+    _assert_wta_matches_reference(clean, subpixel)
+    rng = np.random.default_rng(90 + depth)
+    for k in range(depth):
+        zeros = clean.copy()
+        zeros[k][zeros[k] == 0] = -0.0
+        nans = clean.copy()
+        nans[k][rng.random(nans.shape[1:]) < 0.2] = np.nan
+        for costs in (zeros, nans):
+            _assert_wta_matches_reference(costs, subpixel)
