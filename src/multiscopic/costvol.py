@@ -4,6 +4,13 @@ A cost volume stores float32 costs indexed (d, v, u); slice k corresponds
 to disparity d_min + k.  Cells whose disparity-shifted sample falls outside
 the target image hold the LARGE_COST sentinel and are excluded from WTA.
 
+Every cost is in [+0.0, +inf]: no NaN, no -0.0, nothing negative.  The
+matchers write only such costs, and check_costs is the one test of that
+contract: CostVolume runs it on its costs, fusion and the WTA on every
+slice they read, and the .mcv reader and writer, which also require the
+costs finite, on the file's costs.  On such floats equal costs have equal
+bits and the uint32 order of the bits is the float order.
+
 Each SAD cost equals the float32 sum of its block's absolute differences
 added in row-major order.  On integer-valued images (every PGM input) with
 (2*rho+1)^2 * 255 < 2^24 every block sum is an integer that float32 holds
@@ -30,6 +37,10 @@ LARGE_COST = np.float32(1e9)
 
 # Half-sample interpolation offsets: the pixel itself plus its 4 neighbors.
 BT_NEIGHBORHOOD = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+# +inf's bits: a float32 is in [+0.0, +inf] exactly when its bits, read as
+# a uint32, are at most this
+_INF_BITS = 0x7F800000
 
 _MAGIC = b"MCV1"
 _HEADER = struct.Struct("<4siiii")
@@ -72,6 +83,7 @@ class CostVolume:
             raise InputError(
                 f"{self.costs.shape[0]} slices for range [{self.d_min}, {self.d_max}]"
             )
+        check_costs(self.costs, "cost volume")
 
     @property
     def num_disparities(self) -> int:
@@ -84,6 +96,17 @@ class CostVolume:
     @property
     def width(self) -> int:
         return self.costs.shape[2]
+
+
+def check_costs(
+    costs: np.ndarray, where, error: type[Exception] = InputError, finite: bool = False
+) -> None:
+    """Raise error, naming where, unless every cost of the float32 array is
+    in [+0.0, +inf], or with finite in [+0.0, +inf): one uint32 maximum of
+    the bits, with no temporary array."""
+    if costs.view(np.uint32).max(initial=0) > (_INF_BITS - 1 if finite else _INF_BITS):
+        bound = "+inf)" if finite else "+inf]"
+        raise error(f"{where}: costs must be in [+0.0, {bound}, with no NaN or -0.0")
 
 
 def check_volumes(volumes: list[CostVolume], caller: str, names: list | None = None):
@@ -266,8 +289,10 @@ def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPara
     of lo and hi: no shift there clamps, so no padding is needed.
     """
     _check_pair(ref, target)
-    a = ref.pixels
-    b = target.pixels
+    # adding +0.0 turns a -0.0 pixel into +0.0, so that no difference below
+    # is -0.0 and no cost either
+    a = ref.pixels + np.float32(0.0)
+    b = target.pixels + np.float32(0.0)
     height, width = a.shape
 
     b_pad = np.pad(b, 1, mode="edge")
@@ -361,20 +386,9 @@ def multiscopic_slices(
     return stream()
 
 
-def _check_costs(costs: np.ndarray, path, error: type[Exception]) -> None:
-    """The stored-cost contract: every cost is finite and >= 0.
-
-    Matchers write only such costs (the LARGE_COST sentinel is finite), and
-    fusion and WTA assume them.  min/max propagate NaN, so the check needs
-    no temporary array.
-    """
-    if costs.size and not (costs.min() >= 0 and np.isfinite(costs.max())):
-        raise error(f"{path}: costs must be finite and >= 0")
-
-
 def save_volume(path: Union[str, Path], vol: CostVolume) -> None:
-    """Write the little-endian MCV1 container."""
-    _check_costs(vol.costs, path, InputError)
+    """Write the little-endian MCV1 container of finite costs."""
+    check_costs(vol.costs, path, finite=True)
     header = _HEADER.pack(_MAGIC, vol.d_min, vol.d_max, vol.width, vol.height)
     Path(path).write_bytes(header + vol.costs.astype("<f4").tobytes())
 
@@ -393,6 +407,6 @@ def load_volume(path: Union[str, Path]) -> CostVolume:
     payload = data[_HEADER.size :]
     if len(payload) != 4 * count:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {4 * count}")
-    costs = np.frombuffer(payload, dtype="<f4").reshape(d_max - d_min + 1, height, width)
-    _check_costs(costs, path, FormatError)
-    return CostVolume(costs.astype(np.float32), d_min, d_max)
+    costs = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    check_costs(costs, path, FormatError, finite=True)
+    return CostVolume(costs.reshape(d_max - d_min + 1, height, width), d_min, d_max)

@@ -12,16 +12,12 @@ Fusion reduces n per-view volumes to one.  All strategies operate per cell:
 Cells at the LARGE_COST sentinel simply sort last, so a view whose sample
 left the frame never wins a fused cell.
 
-Each disparity slice is fused on its own.  Its n float32 costs per cell are
-put into the order a stable ascending sort with NaN last gives, bit for
-bit, in one of two ways:
-
-* a clean slice, every cost in [+0.0, +inf] (all the matchers write), by
-  an odd-even transposition network of uint32 minimum/maximum on the bit
-  patterns: on such floats that order is the float order and equal costs
-  have equal bits, so which of two equal costs goes first cannot show;
-* any other slice by NumPy's stable sort, so ties (-0.0 and +0.0 among
-  them) keep their input order and NaN payloads move with their cells.
+Every cost is in [+0.0, +inf] (costvol.check_costs, run on each slice
+read; anything else is an InputError).  Each disparity slice is fused on
+its own.  Its n float32 costs per cell are ordered ascending by an odd-even
+transposition network of uint32 minimum/maximum on the bit patterns: on
+such floats that order is the float order and equal costs have equal bits,
+so the result has the bits of any ascending sort.
 
 One fusion loop, fuse_slices, runs over per-disparity lists of the n
 views' slices.  fuse feeds it from whole volumes; the dense pipeline feeds
@@ -33,16 +29,16 @@ MEAN and HEURISTIC arithmetic runs in float64 with ascending-order
 summation and one rounding to float32, so the pointwise ordering MIN <=
 HEURISTIC <= MEAN survives the cast (rounding is monotone).  HEURISTIC
 takes float32 instead on a slice where a data-only guard (_float32_is_exact)
-shows that float32 gives the same bits: a clean slice, an integer factor
-f < 2**24, integer c1, c2, c3 and (f+2)*c2 < 2**24 in every cell.  Then
-f*c2 and every sum that is kept are exact integers below 2**24, and the one
+shows that float32 gives the same bits: an integer factor f < 2**24,
+integer c1, c2, c3 and (f+2)*c2 < 2**24 in every cell.  Then f*c2 and
+every sum that is kept are exact integers below 2**24, and the one
 float32 division by 3 rounds as the float64 one does.  SAD's integer
 costs meet the guard at the default factor 3 while the second-smallest
 cost stays below 2**24/5 (on 8-bit images, any block up to rho 56 when
 that cost is no sentinel); BT's halves do not.
 
-The WTA keeps its running minimum with np.minimum while every slice so far
-is clean, and by a select on the strictly-smaller mask once one is not.
+The WTA keeps its running minimum with np.minimum: equal costs have equal
+bits, so it does not matter which of two equal costs it keeps.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .costvol import LARGE_COST, CostVolume, check_volumes
+from .costvol import LARGE_COST, CostVolume, check_costs, check_volumes
 from .errors import InputError
 from .imagery import INVALID_DISPARITY, DisparityMap
 
@@ -65,13 +61,12 @@ class FusionStrategy(enum.Enum):
 
 class _Scratch:
     """Arrays the fusion loop reuses for every slice of one shape, so that it
-    allocates nothing per clean slice."""
+    allocates nothing per slice."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.x = np.empty(shape, dtype=np.uint32)
         self.outlier = np.empty(shape, dtype=bool)
         self.f64 = np.empty((3,) + shape, dtype=np.float64)
-        self.x64 = np.empty(shape, dtype=np.uint64)
         self.f32 = np.empty(shape, dtype=np.float32)  # never one of the ordered rows
         self.out = np.empty(shape, dtype=np.float32)
 
@@ -88,31 +83,16 @@ def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -
     bits ^= x
 
 
-# +inf's bits: a float32 whose bits are at most this is in [+0.0, +inf]
-_CLEAN_MAX_BITS = 0x7F800000
+def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
+    """Sort n float32 rows of costs in [+0.0, +inf] ascending per cell, and
+    return the n sorted arrays.
 
-
-def _is_clean(a: np.ndarray) -> bool:
-    """Whether every float32 of a is in [+0.0, +inf]: no NaN, no -0.0 and
-    nothing negative, so that equal values have equal bits."""
-    return a.view(np.uint32).max(initial=0) <= _CLEAN_MAX_BITS
-
-
-def _order_cells(rows: list[np.ndarray], work: _Scratch) -> tuple[list[np.ndarray], bool]:
-    """Sort n float32 rows ascending per cell into the bits a stable sort
-    with NaN last gives, and return the n sorted arrays and whether the
-    slice was clean.
-
-    A clean slice (every cost in [+0.0, +inf]: no NaN, no -0.0, no
-    negative) goes through an odd-even transposition network: n rounds of
-    compare-exchange on adjacent rows, each a uint32 minimum into a spare
-    array (first work.x) and a maximum in place, after which the spare and
-    the old lower row trade places.  The result is some n of the rows and
-    work.x, and the rows' old contents are used up.  Any other slice goes
-    through NumPy's stable sort.
+    An odd-even transposition network: n rounds of compare-exchange on
+    adjacent rows, each a uint32 minimum into a spare array (first work.x)
+    and a maximum in place, after which the spare and the old lower row
+    trade places.  The result is some n of the rows and work.x, and the
+    rows' old contents are used up.
     """
-    if not all(_is_clean(row) for row in rows):
-        return list(np.sort(np.stack(rows), axis=0, kind="stable")), False
     bits = [row.view(np.uint32) for row in rows]
     n = len(rows)
     spare = work.x
@@ -121,18 +101,18 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> tuple[list[np.ndarra
             np.minimum(bits[i], bits[i + 1], out=spare)
             np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
             bits[i], spare = spare, bits[i]
-    return [b.view(np.float32) for b in bits], True
+    return [b.view(np.float32) for b in bits]
 
 
-def _float32_is_exact(c: list[np.ndarray], clean: bool, factor: float | None, work: _Scratch) -> bool:
+def _float32_is_exact(c: list[np.ndarray], factor: float | None, work: _Scratch) -> bool:
     """Whether float32 arithmetic gives a HEURISTIC slice the float64
     formula's bits, from the ordered rows c1, c2, c3 alone.
 
     factor is the heuristic factor when it is an integer below 2**24, else
-    None.  Checked cheapest first: the slice is clean, factor is not None,
-    c2 < 2**24 / (factor + 2) everywhere (taken as a product, which float64
-    holds exactly: 24 by 25 significant bits), and c1, c2 and c3 are
-    integers (+inf counts as one).  Then, with c1 <= c2:
+    None.  Checked cheapest first: factor is not None, c2 < 2**24 /
+    (factor + 2) everywhere (taken as a product, which float64 holds
+    exactly: 24 by 25 significant bits), and c1, c2 and c3 are integers
+    (+inf counts as one).  Then, with c1 <= c2:
 
     * factor*c2 < 2**24 is an exact integer, so c3 > factor*c2 has the
       same outcome in both, whatever c3 holds (LARGE_COST, +inf);
@@ -143,7 +123,7 @@ def _float32_is_exact(c: list[np.ndarray], clean: bool, factor: float | None, wo
       float32 since 53 >= 2*24 + 2 (Figueroa, "When is double rounding
       innocuous?", SIGNUM 1995).
     """
-    if not clean or factor is None or float(c[1].max(initial=0)) * (factor + 2) >= 2**24:
+    if factor is None or float(c[1].max(initial=0)) * (factor + 2) >= 2**24:
         return False
     for row in c:
         np.rint(row, out=work.f32)
@@ -155,7 +135,6 @@ def _float32_is_exact(c: list[np.ndarray], clean: bool, factor: float | None, wo
 
 def _fuse_slice(
     srt: list[np.ndarray],
-    clean: bool,
     strategy: FusionStrategy,
     heuristic_factor: float,
     factor32: float | None,
@@ -168,7 +147,7 @@ def _fuse_slice(
     if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
         np.copyto(work.out, srt[0])
         return
-    if strategy is FusionStrategy.HEURISTIC and _float32_is_exact(srt[:3], clean, factor32, work):
+    if strategy is FusionStrategy.HEURISTIC and _float32_is_exact(srt[:3], factor32, work):
         c1, c2, c3 = srt[:3]  # used-up scratch, overwritten here
         np.multiply(np.float32(factor32), c2, out=work.f32)
         np.greater(c3, work.f32, out=work.outlier)
@@ -189,8 +168,6 @@ def _fuse_slice(
     np.copyto(c2, srt[1])
     np.copyto(c3, srt[2])
     outlier = work.outlier
-    # operands stay in the order of c1 + c2 + c3 and factor * c2: with two
-    # NaN operands, the first one's sign and payload come out
     np.add(c1, c2, out=c1)
     # c2 is float64, so the product is too; a product past the float64 range
     # is inf, the exact outcome of the comparison
@@ -200,7 +177,7 @@ def _fuse_slice(
     np.add(c1, c3, out=c3)
     c1 /= 2.0
     c3 /= 3.0
-    _select(c3, c1, outlier, work.x64)
+    np.copyto(c3, c1, where=outlier)
     np.copyto(work.out, c3)
 
 
@@ -216,7 +193,8 @@ def fuse_slices(
     arrays the caller is done with; a single view's slice passes through
     as it is.  Each yielded slice is scratch as well, valid until the next
     is asked for.  The strategy and heuristic_factor (positive and finite)
-    are checked before any slice is read.
+    are checked before any slice is read, and every slice read must hold
+    costs in [+0.0, +inf] (InputError naming the slice and view otherwise).
     """
     if not isinstance(strategy, FusionStrategy):
         raise InputError(f"unknown fusion strategy {strategy!r}")
@@ -231,14 +209,16 @@ def fuse_slices(
 
     def stream():
         work = None
-        for rows in slice_lists:
+        for k, rows in enumerate(slice_lists):
+            for i, row in enumerate(rows):
+                check_costs(row, f"fusion slice {k}, view {i}")
             if len(rows) == 1:
                 yield rows[0]
                 continue
             if work is None:
                 work = _Scratch(rows[0].shape)
-            srt, clean = _order_cells(rows, work)
-            _fuse_slice(srt, clean, strategy, heuristic_factor, factor32, work)
+            srt = _order_cells(rows, work)
+            _fuse_slice(srt, strategy, heuristic_factor, factor32, work)
             yield work.out
 
     return stream()
@@ -285,16 +265,18 @@ def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) 
     The offset magnitude is at most 1/2 by the argmin property.
 
     The running argmin keeps np.argmin's rule: a later slice takes a pixel
-    only if its cost is strictly smaller, or is NaN where the best so far is
-    not, so the first minimum (or first NaN) wins.  For the parabola each
-    pixel keeps the costs of the slices before and after its current best.
-    Slices may be scratch: what is kept is copied.
+    only if its cost is strictly smaller, so the first minimum wins.  For
+    the parabola each pixel keeps the costs of the slices before and after
+    its current best.  Slices may be scratch: what is kept is copied.
+    Every slice must hold costs in [+0.0, +inf] (InputError naming the
+    slice otherwise).
     """
     it = iter(slices)
     first = next(it, None)
     if first is None:
         raise InputError("WTA needs at least one cost slice")
     best = np.array(first, dtype=np.float32)
+    check_costs(best, "WTA slice 0")
     k_star = np.zeros(best.shape, dtype=np.uint32)
     k_new = np.empty_like(k_star)
     better = np.empty(best.shape, dtype=bool)
@@ -309,24 +291,16 @@ def wta_slices(slices: Iterable[np.ndarray], d_min: int, subpixel: bool = True) 
         prev = best.copy()
         fresh = np.ones_like(k_star)  # k* is the slice read last
     depth = 1
-    # holds while every slice so far, the first included, is clean: then
-    # best is clean too, so the minimum has the select's bits (equal clean
-    # costs have equal bits), and there is no NaN to scan for
-    clean = _is_clean(best)
     for k, s in enumerate(it, start=1):
         s = np.asarray(s, dtype=np.float32)
+        check_costs(s, f"WTA slice {k}")
         depth += 1
         if subpixel:
             _select(hi, s, fresh, x)
         np.less(s, best, out=better)
-        clean = clean and _is_clean(s)
-        if not clean and np.isnan(s).any():
-            better |= np.isnan(s) & ~np.isnan(best)
         np.copyto(take, better)
-        if clean:
-            np.minimum(best, s, out=best)
-        else:
-            _select(best, s, take, x)
+        # equal costs have equal bits, so this is the select on take
+        np.minimum(best, s, out=best)
         # k exceeds every index so far: max(k*, k * take) is k where taken
         np.maximum(k_star, np.multiply(take, k, out=k_new), out=k_star)
         if subpixel:

@@ -435,8 +435,8 @@ def _write_mcv(path, fill):
 
 @pytest.mark.parametrize(
     "fills, fusion",
-    [((np.nan,), "heuristic"), ((np.inf, -np.inf), "mean")],
-    ids=["nan-heuristic", "inf-pair-mean"],
+    [((np.nan,), "heuristic"), ((np.inf, -np.inf), "mean"), ((-0.0, 1.0), "min")],
+    ids=["nan-heuristic", "inf-pair-mean", "negative-zero-min"],
 )
 def test_fuse_non_finite_volume_reports_path(tmp_path, capsys, fills, fusion):
     paths = [tmp_path / f"v{i}.mcv" for i in range(len(fills))]

@@ -13,6 +13,7 @@ from multiscopic import (
     InputError,
     MultiscopicSet,
     bt_cost_volume,
+    costvol,
     load_volume,
     multiscopic_volumes,
     sad_cost_volume,
@@ -53,6 +54,16 @@ def test_cost_volume_container():
         CostVolume(np.zeros((2, 2, 2), dtype=np.float32), d_min=1, d_max=3)
     with pytest.raises(InputError):
         CostVolume(np.zeros((2, 2), dtype=np.float32), d_min=1, d_max=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, -0.0], ids=["nan", "-inf", "-1", "-0"])
+def test_cost_volume_refuses_unclean_costs(bad):
+    costs = np.ones((2, 3, 4), dtype=np.float32)
+    costs[1, 2, 3] = bad
+    with pytest.raises(InputError, match=r"cost volume: costs must be in \[\+0\.0, \+inf\]"):
+        CostVolume(costs, d_min=1, d_max=2)
+    costs[1, 2, 3] = np.inf  # a cost in memory, though not in a file
+    CostVolume(costs, d_min=1, d_max=2)
 
 
 # ------------------------------------------------------------------- SAD
@@ -310,6 +321,36 @@ def test_multiscopic_volumes_bt_path():
     np.testing.assert_array_equal(vols[0].costs, single.costs)
 
 
+@pytest.mark.parametrize("direction", DIRS)
+@pytest.mark.parametrize("matcher, exact", [("sad", True), ("sad", False), ("bt", None)],
+                         ids=["sad-integer", "sad-float", "bt"])
+def test_matchers_write_contract_costs_on_signed_zero_pixels(monkeypatch, direction, matcher, exact):
+    # images holding -0.0 and +0.0 pixels, and halves where SAD is to take
+    # its float32 summation: every cost written is in [+0.0, +inf]
+    rng = np.random.default_rng(41)
+    pixels = rng.integers(0, 3, size=(2, 12, 14)).astype(np.float32)
+    if exact is False:
+        pixels += np.float32(0.5) * rng.integers(0, 2, size=pixels.shape)
+    pixels[(pixels == 0) & (rng.random(pixels.shape) < 0.5)] = -0.0
+    ref, target = Image(pixels[0]), Image(pixels[1])
+    assert np.signbit(ref.pixels).any() and np.signbit(target.pixels).any()
+    summations = []  # whether SAD took its integer summation
+    pads = costvol._integer_pads
+
+    def spy(*args):
+        summations.append(pads(*args) is not None)
+        return pads(*args)
+
+    monkeypatch.setattr(costvol, "_integer_pads", spy)
+    slices = {"sad": costvol.sad_slices, "bt": costvol.bt_slices}[matcher]
+    write = slices(ref, target, direction, BlockMatchParams(rho=1, d_min=0, d_max=13))
+    assert summations == ([] if exact is None else [exact])
+    out = np.empty(ref.pixels.shape, dtype=np.float32)
+    for k in range(14):
+        write(k, out)
+        costvol.check_costs(out, f"slice {k}")
+
+
 # ------------------------------------------------------------------- format
 
 
@@ -334,22 +375,23 @@ def test_mcv_header_layout(tmp_path):
     assert len(raw) == 4 + 16 + 1 * 2 * 3 * 4
 
 
-@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf, -np.inf, -0.0])
 def test_mcv_cost_contract(tmp_path, bad):
-    costs = np.ones((2, 2, 3), dtype=np.float32)
-    costs[1, 0, 2] = bad
-    vol = CostVolume(costs, d_min=1, d_max=2)
+    # .mcv costs are finite and in [+0.0, +inf); CostVolume lets only +inf
+    # of these through, so the others are set after it checked its costs
+    vol = CostVolume(np.ones((2, 2, 3), dtype=np.float32), d_min=1, d_max=2)
+    vol.costs[1, 0, 2] = bad
     p = tmp_path / "bad.mcv"
-    with pytest.raises(InputError, match="bad.mcv"):
+    with pytest.raises(InputError, match=r"bad.mcv: costs must be in \[\+0\.0, \+inf\)"):
         save_volume(str(p), vol)
     assert not p.exists()
     # Bytes written past the writer's check are refused by the reader too.
-    costs[1, 0, 2] = 1.0
-    save_volume(str(p), CostVolume(costs, d_min=1, d_max=2))
+    vol.costs[1, 0, 2] = 1.0
+    save_volume(str(p), vol)
     raw = bytearray(p.read_bytes())
     raw[-4:] = np.array(bad, dtype="<f4").tobytes()
     p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="bad.mcv"):
+    with pytest.raises(FormatError, match=r"bad.mcv: costs must be in \[\+0\.0, \+inf\)"):
         load_volume(str(p))
 
 

@@ -11,6 +11,7 @@ from multiscopic import (
     FusionStrategy,
     InputError,
     fuse,
+    fuse_slices,
     fusion,
     load_volume,
     save_volume,
@@ -158,35 +159,44 @@ def _sort_reference(stack, strategy, factor):
     return fused.astype(np.float32)
 
 
-_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, float(LARGE_COST), 1.0, 2.0]
+# the special values a cost may hold
+_SPECIALS = [np.inf, 0.0, float(LARGE_COST), 1.0, 2.0]
+
+
+def _slice_lists(stack):
+    """A (n, D, H, W) stack as fuse_slices reads it: per disparity, a list
+    of copies of the n views' slices."""
+    return ([row.copy() for row in stack[:, k]] for k in range(stack.shape[1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
 def test_fusion_bytes_match_stable_sort_reference(n, strategy):
     # every ordered n-tuple of the special values, so each pair of them
-    # (+0.0 and -0.0, NaN and inf, ...) meets in both input orders; the
-    # reference's stable sort keeps equal values, and so the sign of a
-    # zero, in input order, with NaN last
+    # (+0.0 and +inf, LARGE_COST and +inf, ...) meets in both input orders
     cells = np.array(list(itertools.product(_SPECIALS, repeat=n)), dtype=np.float32).T
     stack = np.stack([cells, cells[:, ::-1] * np.float32(3.0)], axis=1)  # (n, 2, cells)
     stack = stack.reshape(n, 2, 1, -1)
-    with np.errstate(invalid="ignore"):
-        for factor in (3.0, 0.5):
-            got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
-            want = _sort_reference(stack, strategy, factor)
-            assert got.dtype == np.float32
-            assert got.tobytes() == want.tobytes()
+    for factor in (3.0, 0.5):
+        got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
+        want = _sort_reference(stack, strategy, factor)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
 def test_fusion_bytes_match_stable_sort_reference_with_ties(n, strategy):
     # full-size slices whose costs come from a few integer levels, so most
-    # cells hold ties, with LARGE_COST cells and -0.0 cells among them
+    # cells hold ties, with LARGE_COST cells and -0.0 cells among them: the
+    # first slice read is refused for its -0.0, and with +0.0 in place of
+    # -0.0 the slices fuse into the reference's bits
     rng = np.random.default_rng(60 + n)
     levels = np.array([-0.0, 0.0, 1.0, 2.0, 5.0, 7.0, LARGE_COST], dtype=np.float32)
     stack = levels[rng.choice(len(levels), size=(n, 3, 64, 72), p=[0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1])]
+    with pytest.raises(InputError, match="fusion slice 0, view 0: "):
+        next(fuse_slices(_slice_lists(stack), strategy))
+    stack += np.float32(0.0)
     for factor in (3.0, 0.5, 1e308):
         got = fuse([_vol(v) for v in stack], strategy, heuristic_factor=factor).costs
         with np.errstate(over="ignore"):
@@ -227,33 +237,47 @@ def _quiet_nan(payload):
     return np.array([0x7FC00000 | payload], dtype=np.uint32).view(np.float32)[0]
 
 
-# one cell per case that makes an otherwise clean slice take the bit-exchange
-# ordering; under a looser guard the min/max ordering would sort -0.0 and a
-# negative cost last, and two NaNs by payload instead of in input order
-@pytest.mark.parametrize("strategy, cell", [
-    (FusionStrategy.MIN, [1.0, -0.0, 0.0]),
-    (FusionStrategy.MIN, [2.0, -3.0, 1.0]),
-    (FusionStrategy.MEAN, [_quiet_nan(2), 1.0, _quiet_nan(1)]),
+# one cell per case in an otherwise clean slice, refused by the slice and
+# view that hold it; the min/max ordering would sort -0.0 and a negative
+# cost last, and two NaNs by payload
+@pytest.mark.parametrize("strategy, cell, view", [
+    (FusionStrategy.MIN, [1.0, -0.0, 0.0], 1),
+    (FusionStrategy.MIN, [2.0, -3.0, 1.0], 1),
+    (FusionStrategy.MEAN, [_quiet_nan(2), 1.0, _quiet_nan(1)], 0),
 ], ids=["negative-zero", "negative", "nan-payloads"])
-def test_fusion_one_unclean_cell_keeps_the_stable_order(strategy, cell):
+def test_fusion_one_unclean_cell_is_refused(strategy, cell, view):
     stack = _clean_stack(len(cell), 90)
     stack[:, 1, 10, 20] = cell
-    _assert_fuse_matches_reference(stack, strategy, 3.0)
+    fused = fuse_slices(_slice_lists(stack), strategy)
+    next(fused)
+    with pytest.raises(InputError, match=f"fusion slice 1, view {view}: "):
+        next(fused)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
-def test_fuse_command_on_negative_zero_volumes_matches_stable_sort(tmp_path, n, strategy):
-    # -0.0 is the one unclean cost a .mcv file may hold, so this is the
-    # command-line route into the stable-sort ordering
+def test_fuse_command_refuses_negative_zero_volumes(tmp_path, capsys, n, strategy):
+    # .mcv files holding -0.0 costs: the reader refuses the first one, and
+    # with +0.0 in place of -0.0 the command writes the reference's bits
     rng = np.random.default_rng(70 + n)
     levels = np.array([-0.0, 0.0, 1.0, 2.0, 5.0, LARGE_COST], dtype=np.float32)
     stack = levels[rng.choice(len(levels), size=(n, 4, 24, 32), p=[0.2, 0.2, 0.2, 0.2, 0.1, 0.1])]
     paths = [str(tmp_path / f"v{i}.mcv") for i in range(n)]
     for path, costs in zip(paths, stack):
-        save_volume(path, _vol(costs))
+        save_volume(path, _vol(costs + np.float32(0.0)))
+        with open(path, "r+b") as f:  # the payload after the 20-byte header
+            f.seek(20)
+            f.write(costs.astype("<f4").tobytes())
     out = tmp_path / "fused.mcv"
-    assert run(["fuse", "--volumes", *paths, "--fusion", strategy.value, "--out", str(out)]) == 0
+    argv = ["fuse", "--volumes", *paths, "--fusion", strategy.value, "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[0]}: costs must be in [+0.0, +inf)") and err.count("\n") == 1
+    assert not out.exists()
+    stack += np.float32(0.0)
+    for path, costs in zip(paths, stack):
+        save_volume(path, _vol(costs))
+    assert run(argv) == 0
     want = _sort_reference(stack, strategy, 3.0)
     assert load_volume(out).costs.tobytes() == want.tobytes()
 
@@ -408,14 +432,12 @@ def test_wta_recovers_known_disparity():
     assert (d.values == 4.0).all()
 
 
-def _wta_cases(depth, clean=False):
+def _wta_cases(depth):
     """(depth, 24, 32) costs holding every case the first-minimum rule and
-    the parabola have to get right, row band by row band.  With clean,
-    every cost is in [+0.0, +inf]: the ties band has no -0.0 and the NaN
-    band holds +inf instead."""
+    the parabola have to get right, row band by row band."""
     rng = np.random.default_rng(80 + depth)
     shape = (depth, 4, 32)
-    levels = np.array([0.0, 1.0, 2.0, 3.5] if clean else [0.0, -0.0, 1.0, 2.0, 3.5], dtype=np.float32)
+    levels = np.array([0.0, 1.0, 2.0, 3.5], dtype=np.float32)
     bands = [
         levels[rng.integers(0, len(levels), size=shape)],  # ties and plateaus
         np.full(shape, LARGE_COST, dtype=np.float32),  # all-sentinel pixels
@@ -427,10 +449,9 @@ def _wta_cases(depth, clean=False):
     k = np.arange(depth)[:, None, None]
     runs[(k >= starts) & (k < stops)] = LARGE_COST  # LARGE_COST runs
     bands.append(runs)
-    nans = levels[rng.integers(0, len(levels), size=shape)]
-    # NaN cells (+inf when clean), some pixels with two
-    nans[rng.random(shape) < 0.2] = np.inf if clean else np.nan
-    bands.append(nans)
+    infs = levels[rng.integers(0, len(levels), size=shape)]
+    infs[rng.random(shape) < 0.2] = np.inf  # some pixels with two
+    bands.append(infs)
     plateau = np.repeat(rng.uniform(0, 5, size=(1,) + shape[1:]).astype(np.float32), depth, 0)
     bands.append(plateau)  # one cost at every disparity
     return np.concatenate(bands, axis=1)
@@ -452,7 +473,7 @@ def _assert_wta_matches_reference(costs, subpixel):
     assert wta_slices(scratch(), 3, subpixel).values.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("depth", range(1, 10))
 @pytest.mark.parametrize("subpixel", [False, True])
 def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
     _assert_wta_matches_reference(_wta_cases(depth), subpixel)
@@ -460,13 +481,10 @@ def test_wta_bytes_match_whole_volume_reference(depth, subpixel):
 
 @pytest.mark.parametrize("depth", range(1, 10))
 @pytest.mark.parametrize("subpixel", [False, True])
-def test_wta_bytes_match_whole_volume_reference_on_clean_slices(depth, subpixel):
-    # all slices clean (the running minimum throughout), then the same
-    # slices with slice k made unclean by -0.0 in place of +0.0 or by NaN
-    # cells, so that the clean slices after it come to a best holding -0.0
-    # or NaN
-    clean = _wta_cases(depth, clean=True)
-    _assert_wta_matches_reference(clean, subpixel)
+def test_wta_refuses_the_unclean_slice(depth, subpixel):
+    # the cases of the byte test with slice k made unclean by -0.0 in place
+    # of +0.0 or by NaN cells, refused by index in a volume and in a stream
+    clean = _wta_cases(depth)
     rng = np.random.default_rng(90 + depth)
     for k in range(depth):
         zeros = clean.copy()
@@ -474,4 +492,54 @@ def test_wta_bytes_match_whole_volume_reference_on_clean_slices(depth, subpixel)
         nans = clean.copy()
         nans[k][rng.random(nans.shape[1:]) < 0.2] = np.nan
         for costs in (zeros, nans):
-            _assert_wta_matches_reference(costs, subpixel)
+            vol = _vol(clean.copy(), d_min=3)
+            vol.costs[k] = costs[k]  # after the volume checked its costs
+            with pytest.raises(InputError, match=f"WTA slice {k}: "):
+                wta_disparity(vol, subpixel)
+            with pytest.raises(InputError, match=f"WTA slice {k}: "):
+                wta_slices(iter(costs), 3, subpixel)
+
+
+# ------------------------------------------------------- the cost contract
+
+# every kind of float32 the contract refuses: NaN, negative costs, -0.0
+_UNCLEAN = pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, -0.0], ids=["nan", "-inf", "-1", "-0"])
+
+
+@_UNCLEAN
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fuse_refuses_unclean_costs(bad, n):
+    vols = [_vol(np.ones((3, 2, 4))) for _ in range(n)]
+    vols[-1].costs[2, 1, 0] = bad  # after the volume checked its costs
+    with pytest.raises(InputError, match=f"fusion slice 2, view {n - 1}: costs must be in"):
+        fuse(vols, FusionStrategy.HEURISTIC)
+
+
+@_UNCLEAN
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fuse_slices_refuses_unclean_costs(bad, n):
+    # slice 1's last view holds the cost; a single view's slice passes
+    # through unfused but is checked all the same
+    lists = [[np.ones((2, 4), dtype=np.float32) for _ in range(n)] for _ in range(3)]
+    lists[1][-1][1, 0] = bad
+    fused = fuse_slices(iter(lists), FusionStrategy.MEAN)
+    next(fused)
+    with pytest.raises(InputError, match=f"fusion slice 1, view {n - 1}: costs must be in"):
+        next(fused)
+
+
+@_UNCLEAN
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_wta_slices_refuses_unclean_costs(bad, k):
+    slices = np.ones((3, 2, 4), dtype=np.float32)
+    slices[k, 1, 0] = bad
+    with pytest.raises(InputError, match=f"WTA slice {k}: costs must be in"):
+        wta_slices(slices, 1)
+
+
+@_UNCLEAN
+def test_wta_disparity_refuses_unclean_costs(bad):
+    vol = _vol(np.ones((3, 2, 4)))
+    vol.costs[1, 1, 0] = bad  # after the volume checked its costs
+    with pytest.raises(InputError, match="WTA slice 1: costs must be in"):
+        wta_disparity(vol)

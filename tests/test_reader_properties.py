@@ -9,12 +9,14 @@
   field before checking it against the bytes present.
 * Random valid containers survive write -> read.  Non-finite values follow
   each format's contract: PFM stores them as invalid (+inf); .mcv costs and
-  .mfn weights are refused on write and on read.
+  .mfn weights are refused on write and on read, and so are .mcv costs of
+  -0.0 or below.
 
 Examples are derandomized, so a run always draws the same cases.
 """
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -103,7 +105,7 @@ def _keeps_contract(obj):
     elif isinstance(obj, DisparityMap):
         assert not np.isnan(obj.values).any() and not np.isneginf(obj.values).any()
     elif isinstance(obj, CostVolume):
-        assert np.isfinite(obj.costs).all() and obj.costs.min() >= 0
+        assert np.isfinite(obj.costs).all() and obj.costs.min() >= 0 and not np.signbit(obj.costs).any()
     else:
         assert all(np.isfinite(arr).all() for _, arr in obj.parameters())
 
@@ -161,7 +163,8 @@ _COSTS = arrays(
     st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
     elements=st.floats(0, float(LARGE_COST), width=32) | st.just(float(LARGE_COST)),
 )
-_BAD = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-30])
+_BAD = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-30, -0.0])
+_OUTSIDE_MCV = re.escape("costs must be in [+0.0, +inf)")
 
 
 @settings(max_examples=40, **SETTINGS)
@@ -174,15 +177,20 @@ def test_mcv_round_trip_and_cost_contract(tmp_path, costs, d_min, bad, where):
     assert (back.d_min, back.d_max) == (vol.d_min, vol.d_max)
     assert back.costs.tobytes() == costs.tobytes()
 
-    costs.flat[where % costs.size] = bad
+    if bad != np.inf:  # +inf is a cost in memory, though not in a file
+        bad_costs = costs.copy()
+        bad_costs.flat[where % costs.size] = bad
+        with pytest.raises(InputError, match=re.escape("cost volume: costs must be in [+0.0, +inf]")):
+            CostVolume(bad_costs, vol.d_min, vol.d_max)
+    vol.costs.flat[where % costs.size] = bad  # after the volume checked its costs
     path.unlink()
-    with pytest.raises(InputError, match="finite and >= 0"):
-        save_volume(path, CostVolume(costs, vol.d_min, vol.d_max))
+    with pytest.raises(InputError, match=_OUTSIDE_MCV):
+        save_volume(path, vol)
     assert not path.exists()
     _, h, w = costs.shape
     path.write_bytes(struct.pack("<4siiii", b"MCV1", vol.d_min, vol.d_max, w, h)
-                     + costs.astype("<f4").tobytes())
-    with pytest.raises(FormatError, match="finite and >= 0"):
+                     + vol.costs.astype("<f4").tobytes())
+    with pytest.raises(FormatError, match=_OUTSIDE_MCV):
         load_volume(path)
 
 
