@@ -242,8 +242,15 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_disparity(args) -> int:
-    # one disparity at a time: matcher slices -> fusion -> running-argmin WTA
-    slices = costvol.multiscopic_slices(_input_set(args), args.matcher, _bm_params(args))
+    # one disparity at a time: matcher slices -> fusion -> running-argmin WTA,
+    # up to the largest image extent along the views' shift axes, since every
+    # slice past it is all LARGE_COST and cannot change the WTA; args, which
+    # run.txt and the Jet range read, keep the d_max given
+    mset = _input_set(args)
+    p = _bm_params(args)
+    extent = max(mset.width if d.offset(1)[0] else mset.height for d, _ in mset.surround)
+    p = costvol.BlockMatchParams(p.rho, p.d_min, max(p.d_min, min(p.d_max, extent - 1)))
+    slices = costvol.multiscopic_slices(mset, args.matcher, p)
     fused = fusion.fuse_slices(
         slices, fusion.FusionStrategy(args.fusion), args.heuristic_factor
     )

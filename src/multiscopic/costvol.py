@@ -18,7 +18,8 @@ exactly, so the block is summed in integers, separably, rows then columns,
 in 4*rho adds per slice: uint16 for rho <= 7, uint32 up to rho 127.  Any
 other input (PPM luma, upscaled `gc` images, float images, rho >= 128) is
 summed in float32 in the row-major order itself, (2*rho+1)^2 adds per
-slice.
+slice.  Volumes hold float32; multiscopic_slices streams uint32 slices
+when every view's SAD takes the exact path, whose costs are integers.
 """
 
 from __future__ import annotations
@@ -153,8 +154,11 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
     out[:, cols.stop :] = LARGE_COST
 
 
-# A matcher set up for one view: write(k, out) stores the (H, W) float32
-# costs of disparity d_min + k in out, every cell of it.
+# A matcher set up for one view: write(k, out) stores the (H, W) costs of
+# disparity d_min + k in out, every cell of it.  write.dtype is the type
+# its costs are exact in: uint32 on SAD's exact path, whose costs are
+# integers, float32 on SAD's row-major path and on BT.  out may be float32
+# or write.dtype.
 SliceWriter = Callable[[int, np.ndarray], None]
 
 
@@ -203,7 +207,7 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
       differences and their absolute values are taken in that type and
       summed in its unsigned twin (uint16 or uint32) separably, along rows
       and then down columns: 4*rho adds per slice.  The final copy into
-      the float32 slice is exact.
+      a float32 or uint32 slice is exact, and the writer's dtype is uint32.
     * Otherwise (a non-integer intensity in either image, or rho >= 128):
       the (2*rho+1)^2 windows are added in float32 in row-major order, the
       one order whose rounding matches.
@@ -270,6 +274,7 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
         block_sum()
         out[rows, cols] = sums[rows, cols]
 
+    write.dtype = np.uint32 if exact else np.float32
     return write
 
 
@@ -320,6 +325,7 @@ def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPara
         np.maximum(dst, lo_gap, out=dst)
         np.maximum(zero, dst, out=dst)
 
+    write.dtype = np.float32
     return write
 
 
@@ -369,13 +375,14 @@ def multiscopic_slices(
     """Per disparity, in order, the list of the n views' cost slices in set
     order: the slices of multiscopic_volumes without ever holding a volume.
 
-    The n (H, W) arrays are scratch, refilled for the next disparity; a
-    consumer is done with them (and may overwrite them) before it asks for
-    the next list.
+    The slices, uint32 when every writer's dtype is, else float32, are
+    scratch, refilled for the next disparity; a consumer is done with them
+    (and may overwrite them) before it asks for the next list.
     """
     fn = _matcher(matcher)
     writers = [fn(mset.center, img, direction, p) for direction, img in mset.surround]
-    rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=np.float32))
+    dtype = np.uint32 if all(w.dtype == np.uint32 for w in writers) else np.float32
+    rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=dtype))
 
     def stream():
         for k in range(p.num_disparities):

@@ -12,30 +12,35 @@ Fusion reduces n per-view volumes to one.  All strategies operate per cell:
 Cells at the LARGE_COST sentinel simply sort last, so a view whose sample
 left the frame never wins a fused cell.
 
-Every cost is in [+0.0, +inf] (costvol.check_costs, run on each slice
-read; anything else is an InputError).  Each disparity slice is fused on
-its own.  Its n float32 costs per cell are ordered ascending by an odd-even
-transposition network of uint32 minimum/maximum on the bit patterns: on
-such floats that order is the float order and equal costs have equal bits,
-so the result has the bits of any ascending sort.
+Each disparity slice is fused on its own.  Its rows hold float32 costs in
+[+0.0, +inf] (costvol.check_costs, run on each row read; anything else is
+an InputError), or uint32 integer costs from SAD's exact path, which need
+no check.  Either way the n costs per cell are ordered ascending by an
+odd-even transposition network of uint32 minimum/maximum on the bit
+patterns: on both that order is the cost order and equal costs have equal
+bits, so the result has the bits of any ascending sort.
 
 One fusion loop, fuse_slices, runs over per-disparity lists of the n
-views' slices.  fuse feeds it from whole volumes; the dense pipeline feeds
-it from the matchers (costvol.multiscopic_slices) and its fused slices go
-straight into the running-argmin WTA (wta_slices), so that pipeline never
-holds a volume.
+views' slices and yields float32.  fuse feeds it from whole volumes; the
+dense pipeline feeds it from the matchers (costvol.multiscopic_slices) and
+its fused slices go straight into the running-argmin WTA (wta_slices), so
+that pipeline never holds a volume.
 
 MEAN and HEURISTIC arithmetic runs in float64 with ascending-order
 summation and one rounding to float32, so the pointwise ordering MIN <=
 HEURISTIC <= MEAN survives the cast (rounding is monotone).  HEURISTIC
-takes float32 instead on a slice where a data-only guard (_float32_is_exact)
-shows that float32 gives the same bits: an integer factor f < 2**24,
-integer c1, c2, c3 and (f+2)*c2 < 2**24 in every cell.  Then f*c2 and
-every sum that is kept are exact integers below 2**24, and the one
-float32 division by 3 rounds as the float64 one does.  SAD's integer
-costs meet the guard at the default factor 3 while the second-smallest
-cost stays below 2**24/5 (on 8-bit images, any block up to rho 56 when
-that cost is no sentinel); BT's halves do not.
+takes a shorter path with the same bits on uint32 rows when the factor f
+is an integer below 2**24 and (f+2)*c2 < 2**24 in every cell: one dtype
+test and one maximum.  Then f*c2 and every sum that is kept are exact
+integers below 2**24, computed in uint32 and converted to float32
+exactly, so the comparison c3 > f*c2 has the float64 outcome whatever c3
+holds (LARGE_COST included), an outlier's (c1+c2)/2 is exact, and a
+non-outlier's c1 + c2 + c3 <= (f+2)*c2 is exact, so its /3 is one
+correctly rounded float32 division.  That equals the float64 quotient
+rounded to float32, since 53 >= 2*24 + 2 (Figueroa, "When is double
+rounding innocuous?", SIGNUM 1995).  SAD's costs meet the bound at the
+default factor 3 while the second-smallest cost stays below 2**24/5 (on
+8-bit images, any block up to rho 56 when that cost is no sentinel).
 
 The WTA keeps its running minimum with np.minimum: equal costs have equal
 bits, so it does not matter which of two equal costs it keeps.
@@ -84,8 +89,8 @@ def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -
 
 
 def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
-    """Sort n float32 rows of costs in [+0.0, +inf] ascending per cell, and
-    return the n sorted arrays.
+    """Sort n rows of costs ascending per cell, and return the n sorted
+    arrays, of the rows' dtype: float32 in [+0.0, +inf] or uint32.
 
     An odd-even transposition network: n rounds of compare-exchange on
     adjacent rows, each a uint32 minimum into a spare array (first work.x)
@@ -101,61 +106,37 @@ def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
             np.minimum(bits[i], bits[i + 1], out=spare)
             np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
             bits[i], spare = spare, bits[i]
-    return [b.view(np.float32) for b in bits]
-
-
-def _float32_is_exact(c: list[np.ndarray], factor: float | None, work: _Scratch) -> bool:
-    """Whether float32 arithmetic gives a HEURISTIC slice the float64
-    formula's bits, from the ordered rows c1, c2, c3 alone.
-
-    factor is the heuristic factor when it is an integer below 2**24, else
-    None.  Checked cheapest first: factor is not None, c2 < 2**24 /
-    (factor + 2) everywhere (taken as a product, which float64 holds
-    exactly: 24 by 25 significant bits), and c1, c2 and c3 are integers
-    (+inf counts as one).  Then, with c1 <= c2:
-
-    * factor*c2 < 2**24 is an exact integer, so c3 > factor*c2 has the
-      same outcome in both, whatever c3 holds (LARGE_COST, +inf);
-    * an outlier cell's c1 + c2 < 2**24 is exact, and so is its half;
-    * a non-outlier cell has c3 <= factor*c2, so c1 + c2 + c3 <=
-      (factor + 2)*c2 < 2**24 is exact, and its /3 is one correctly rounded
-      float32 division, which equals the float64 quotient rounded to
-      float32 since 53 >= 2*24 + 2 (Figueroa, "When is double rounding
-      innocuous?", SIGNUM 1995).
-    """
-    if factor is None or float(c[1].max(initial=0)) * (factor + 2) >= 2**24:
-        return False
-    for row in c:
-        np.rint(row, out=work.f32)
-        np.not_equal(row, work.f32, out=work.outlier)
-        if work.outlier.any():
-            return False
-    return True
+    return [b.view(rows[0].dtype) for b in bits]
 
 
 def _fuse_slice(
     srt: list[np.ndarray],
     strategy: FusionStrategy,
     heuristic_factor: float,
-    factor32: float | None,
+    int_factor: int | None,
     work: _Scratch,
 ) -> None:
     """Fused costs of one disparity slice from its ordered rows into
-    work.out: computed in float64 and rounded once, or for HEURISTIC in
-    float32 where _float32_is_exact says that gives the same bits."""
+    work.out: computed in float64 and rounded once, or for HEURISTIC on
+    uint32 rows within the module's bound in uint32 sums and float32
+    divisions, which give the same bits."""
     n = len(srt)
-    if strategy is FusionStrategy.MIN or (strategy is FusionStrategy.HEURISTIC and n == 2):
+    heuristic = strategy is FusionStrategy.HEURISTIC
+    if n == 1 or strategy is FusionStrategy.MIN or (heuristic and n == 2):
         np.copyto(work.out, srt[0])
         return
-    if strategy is FusionStrategy.HEURISTIC and _float32_is_exact(srt[:3], factor32, work):
+    if heuristic and srt[0].dtype == np.uint32 and int_factor is not None and (
+        int(srt[1].max()) * (int_factor + 2) < 2**24
+    ):
         c1, c2, c3 = srt[:3]  # used-up scratch, overwritten here
-        np.multiply(np.float32(factor32), c2, out=work.f32)
-        np.greater(c3, work.f32, out=work.outlier)
+        x = work.f32.view(np.uint32)  # never one of the ordered rows
+        np.multiply(c2, np.uint32(int_factor), out=x)
+        np.greater(c3, x, out=work.outlier)
         np.add(c1, c2, out=c1)
-        np.add(c1, c3, out=work.out)
-        np.divide(work.out, np.float32(3.0), out=work.out)
-        np.divide(c1, np.float32(2.0), out=c1)
-        np.copyto(work.out, c1, where=work.outlier)
+        np.add(c1, c3, out=x)  # may wrap only where outlier drops it
+        np.divide(x, np.float32(3.0), out=work.out, dtype=np.float32)
+        np.divide(c1, np.float32(2.0), out=work.f32, dtype=np.float32)
+        np.copyto(work.out, work.f32, where=work.outlier)
         return
     c1, c2, c3 = work.f64
     np.copyto(c1, srt[0])
@@ -187,38 +168,36 @@ def fuse_slices(
     heuristic_factor: float = 3.0,
 ) -> Iterator[np.ndarray]:
     """The fusion loop: one fused float32 (H, W) slice per list of the n
-    views' float32 slices of one disparity, in order.
+    views' slices of one disparity, in order.
 
-    Each list's arrays are used up as ordering scratch, so they must be
-    arrays the caller is done with; a single view's slice passes through
-    as it is.  Each yielded slice is scratch as well, valid until the next
-    is asked for.  The strategy and heuristic_factor (positive and finite)
-    are checked before any slice is read, and every slice read must hold
-    costs in [+0.0, +inf] (InputError naming the slice and view otherwise).
+    A list holds arrays of one dtype: float32 costs, or uint32 integer
+    costs (SAD's exact path).  Its arrays are used up as ordering scratch,
+    so they must be arrays the caller is done with.  Each yielded slice is
+    scratch as well, valid until the next is asked for.  The strategy and
+    heuristic_factor (positive and finite) are checked before any slice is
+    read, and every float32 slice read must hold costs in [+0.0, +inf]
+    (InputError naming the slice and view otherwise).
     """
     if not isinstance(strategy, FusionStrategy):
         raise InputError(f"unknown fusion strategy {strategy!r}")
     if not 0 < heuristic_factor < np.inf:
         raise InputError(f"heuristic_factor must be positive and finite, got {heuristic_factor}")
 
-    # the factor the float32 path takes: an integer below 2**24, which
-    # float32 holds exactly
-    factor32 = None
+    # the factor the uint32 path takes: an integer below 2**24
+    int_factor = None
     if float(heuristic_factor).is_integer() and heuristic_factor < 2**24:
-        factor32 = float(heuristic_factor)
+        int_factor = int(heuristic_factor)
 
     def stream():
         work = None
         for k, rows in enumerate(slice_lists):
-            for i, row in enumerate(rows):
-                check_costs(row, f"fusion slice {k}, view {i}")
-            if len(rows) == 1:
-                yield rows[0]
-                continue
+            if rows[0].dtype != np.uint32:
+                for i, row in enumerate(rows):
+                    check_costs(row, f"fusion slice {k}, view {i}")
             if work is None:
                 work = _Scratch(rows[0].shape)
             srt = _order_cells(rows, work)
-            _fuse_slice(srt, strategy, heuristic_factor, factor32, work)
+            _fuse_slice(srt, strategy, heuristic_factor, int_factor, work)
             yield work.out
 
     return stream()

@@ -628,6 +628,20 @@ def test_disparity_with_one_disparity_zero(tmp_path):
     assert (read_image(str(out / "disp.pfm")).values == 0).all()
 
 
+def test_disparity_d_max_past_the_image_writes_the_same_map(tmp_path):
+    # every slice from the image extent (16 columns) on is all LARGE_COST:
+    # the map is the one of --d-max 15, and run.txt keeps the range given
+    data = _synth(tmp_path)
+    outs = {}
+    for d_max in ("15", "20000"):
+        out = tmp_path / d_max
+        assert run(["disparity", "--in", str(data / "scene_0000"), "--d-min", "0",
+                    "--d-max", d_max, "--out", str(out)]) == 0
+        assert f"d_max={d_max}\n" in (out / "run.txt").read_text()
+        outs[d_max] = (out / "disp.pfm").read_bytes()
+    assert outs["20000"] == outs["15"]
+
+
 def test_missing_input_reports_error(capsys):
     assert run(["disparity", "--out", "x"]) == 1
     err = capsys.readouterr().err

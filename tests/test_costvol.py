@@ -14,11 +14,14 @@ from multiscopic import (
     MultiscopicSet,
     bt_cost_volume,
     costvol,
+    load_scene,
     load_volume,
+    multiscopic_slices,
     multiscopic_volumes,
     sad_cost_volume,
     save_volume,
 )
+from multiscopic.cli import run
 
 from oracles import bt_oracle, sad_oracle
 
@@ -345,10 +348,39 @@ def test_matchers_write_contract_costs_on_signed_zero_pixels(monkeypatch, direct
     slices = {"sad": costvol.sad_slices, "bt": costvol.bt_slices}[matcher]
     write = slices(ref, target, direction, BlockMatchParams(rho=1, d_min=0, d_max=13))
     assert summations == ([] if exact is None else [exact])
+    # the writer's dtype names the path it took; an exact writer's uint32
+    # slices hold its float32 slices' values
+    assert write.dtype == (np.uint32 if exact else np.float32)
     out = np.empty(ref.pixels.shape, dtype=np.float32)
+    ints = np.empty(ref.pixels.shape, dtype=np.uint32)
     for k in range(14):
         write(k, out)
         costvol.check_costs(out, f"slice {k}")
+        if exact:
+            write(k, ints)
+            assert ints.astype(np.float32).tobytes() == out.tobytes()
+
+
+def test_multiscopic_slices_are_uint32_when_every_sad_writer_is_exact(tmp_path):
+    # SAD on a PGM scene streams uint32 rows holding the volumes' costs; BT,
+    # a view with one fractional luma value and rho 128 stream float32
+    assert run(["synth", "--scenes", "1", "--seed", "9", "--out", str(tmp_path), "--width", "20",
+                "--height", "14", "--disp-min", "0", "--disp-max", "4"]) == 0
+    mset, _ = load_scene(tmp_path / "scene_0000")
+    p = BlockMatchParams(rho=2, d_min=0, d_max=6)
+    vols = multiscopic_volumes(mset, "sad", p)
+    for k, rows in enumerate(multiscopic_slices(mset, "sad", p)):
+        assert [row.dtype for row in rows] == [np.uint32] * 4
+        assert np.stack(rows).astype(np.float32).tobytes() == np.stack([v.costs[k] for v in vols]).tobytes()
+    direction, view = mset.surround[2]
+    pixels = view.pixels.copy()
+    pixels[3, 4] += np.float32(0.5)
+    fractional = MultiscopicSet(mset.center, mset.surround[:2] + [(direction, Image(pixels))])
+    one_view = MultiscopicSet(mset.center, mset.surround[:1])
+    for matcher, views, q in [("bt", mset, p), ("sad", fractional, p),
+                              ("sad", one_view, BlockMatchParams(rho=128, d_min=0, d_max=0))]:
+        rows = next(multiscopic_slices(views, matcher, q))
+        assert [row.dtype for row in rows] == [np.float32] * len(views.surround)
 
 
 # ------------------------------------------------------------------- format

@@ -12,7 +12,6 @@ from multiscopic import (
     InputError,
     fuse,
     fuse_slices,
-    fusion,
     load_volume,
     save_volume,
     wta_disparity,
@@ -290,23 +289,10 @@ def test_fusion_overflowing_factor_is_exact_and_silent():
     np.testing.assert_array_equal(got, np.array([[[0.0, 3.0]]], dtype=np.float32))
 
 
-@pytest.fixture
-def float32_paths(monkeypatch):
-    """The HEURISTIC guard's answers, one per slice it sees, in order."""
-    taken = []
-    guard = fusion._float32_is_exact
-
-    def spy(*args):
-        taken.append(guard(*args))
-        return taken[-1]
-
-    monkeypatch.setattr(fusion, "_float32_is_exact", spy)
-    return taken
-
-
 def _guard_edge_stack(n, f, seed):
-    """(n, 3, 16, 64) integer-valued costs for an integer factor f, one
-    slice per edge of the float32 guard, with the views shuffled per cell:
+    """(n, 3, 16, 64) float32 costs for an integer factor f, one slice per
+    edge of exact float32 HEURISTIC arithmetic, with the views shuffled per
+    cell:
 
     0. c2 up to the largest integer with (f+2)*c2 < 2**24 and c3 at f*c2,
        just below it, f*c2 + 1, LARGE_COST or +inf, so that non-outlier sums
@@ -341,27 +327,59 @@ def _guard_edge_stack(n, f, seed):
     return rng.permuted(np.stack(rows).astype(np.float32), axis=0)
 
 
+def _integer_edge_stack(n, f, seed):
+    """(n, 3, 16, 64) uint32 costs for an integer factor f, one slice per
+    edge of the uint32 path's bound, (f+2)*c2 < 2**24:
+
+    0. _guard_edge_stack's slice 0 with LARGE_COST for +inf: c2 up to top,
+       the largest integer within the bound, and c3 at f*c2, just below it,
+       f*c2 + 1 and LARGE_COST;
+    1. the same with c2 one past top in one cell, so that the slice takes
+       the float64 formula;
+    2. _guard_edge_stack's slice 1: c2 past the bound, non-outlier sums
+       past 2**24.
+    """
+    stack = _guard_edge_stack(n, f, seed)[:, :2]
+    stack[stack == np.inf] = LARGE_COST
+    past = stack[:, 0].copy()
+    top = (2**24 - 1) // (f + 2)
+    past[:, 0, 0] = [top + 1, top + 1, f * (top + 1)] + [LARGE_COST] * (n - 3)
+    return np.stack([stack[:, 0], past, stack[:, 1]], axis=1).astype(np.uint32)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("f", [1, 3])
-def test_fusion_float32_guard_edges_match_stable_sort_reference(float32_paths, n, f):
+def test_heuristic_bound_edges_match_stable_sort_reference(n, f):
+    # the float32 stack, halves and +inf included, through fuse; its integer
+    # slices as uint32 rows through fuse_slices, on and past the bound at
+    # factor f, and on the float64 formula at factors 0.5 and 1e308
     stack = _guard_edge_stack(n, f, 100 * f + n)
+    ints = _integer_edge_stack(n, f, 100 * f + n)
     for factor in (1, 3, 0.5, 1e308):
-        float32_paths.clear()
         _assert_fuse_matches_reference(stack, FusionStrategy.HEURISTIC, factor)
-        if factor == f:
-            assert float32_paths == [True, False, False]
-        elif factor in (0.5, 1e308):
-            assert float32_paths == [False, False, False]
+        got = [s.copy() for s in fuse_slices(_slice_lists(ints), FusionStrategy.HEURISTIC, factor)]
+        with np.errstate(over="ignore"):
+            want = _sort_reference(ints, FusionStrategy.HEURISTIC, factor)
+        assert all(s.dtype == np.float32 for s in got)
+        assert np.stack(got).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("matcher, float32", [("sad", True), ("bt", False)])
-def test_dense_heuristic_takes_float32_exactly_on_integer_costs(tmp_path, float32_paths, matcher, float32):
-    # SAD costs on 8-bit images are integers; BT's interpolated costs are halves
-    assert run(["synth", "--scenes", "1", "--seed", "9", "--out", str(tmp_path / "d"),
-                "--width", "40", "--height", "30", "--disp-min", "0", "--disp-max", "6"]) == 0
-    assert run(["disparity", "--in", str(tmp_path / "d" / "scene_0000"), "--matcher", matcher,
-                "--fusion", "heuristic", "--d-min", "0", "--d-max", "6", "--out", str(tmp_path / "out")]) == 0
-    assert float32_paths == [float32] * 7
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_uint32_rows_fuse_to_the_float32_rows_bytes(n, strategy):
+    # integer costs with ties fuse to the same float32 bytes from uint32 rows
+    # as from float32 rows, one view passing through too; LARGE_COST only in
+    # the first view, so that c2 stays small and HEURISTIC at factor 3 takes
+    # the uint32 path
+    rng = np.random.default_rng(50 + n)
+    levels = np.array([0, 1, 2, 5, 7, 1000, LARGE_COST], dtype=np.uint32)
+    ints = levels[rng.integers(0, len(levels) - 1, size=(n, 3, 24, 32))]
+    ints[0][rng.random(ints[0].shape) < 0.2] = levels[-1]
+    for factor in (3.0, 0.5):
+        got = np.stack([s.copy() for s in fuse_slices(_slice_lists(ints), strategy, factor)])
+        want = fuse([_vol(v) for v in ints.astype(np.float32)], strategy, factor).costs
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------- WTA
