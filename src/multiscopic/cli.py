@@ -265,6 +265,10 @@ def _cmd_gc(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    out = Path(args.out)
+    log_path = out.with_suffix(".log")
+    if log_path == out:
+        raise InputError(f"{out}: the loss log would overwrite the weights; use another suffix")
     root = Path(args.data)
     scene_dirs = [root / name for name in _manifest(root)]
     bm = _bm_params(args)
@@ -280,18 +284,11 @@ def _cmd_train(args) -> int:
             )
         volumes = costvol.multiscopic_volumes(mset, args.matcher, bm)
         dataset.append((volumes, gt, mask))
-    cfg = net.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        rng_seed=args.seed,
-        norm_mode=args.norm_mode,
-    )
+    cfg = net.TrainConfig(learning_rate=args.lr, epochs=args.epochs, rng_seed=args.seed)
     model, log = net.train(dataset, cfg)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     net.save_net(model, out)
-    log_lines = "".join(f"{i},{loss!r}\n" for i, loss in enumerate(log))
-    out.with_suffix(".log").write_text(log_lines)
+    log_path.write_text("".join(f"{i},{loss!r}\n" for i, loss in enumerate(log)))
     _write_run_manifest(out.parent, "train", args)
     print(f"trained on {len(dataset)} scenes; final epoch loss {log[-1]:.6f}")
     return 0
@@ -412,8 +409,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset root with manifest.txt")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--norm-mode", choices=list(net.NORM_MODES), default="standardize")
-    p.add_argument("--out", required=True, help="output weight file (MFN1)")
+    p.add_argument(
+        "--out", required=True,
+        help="output weight file (.mfn, version 2); the loss log goes next to it as .log",
+    )
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", help="network disparity from a scene")

@@ -77,9 +77,10 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv3d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 1
+    x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1, pad: int = 1
 ):
-    """3-D convolution, kernel (C_out, C_in, k, k, k), zero padding.
+    """3-D convolution, kernel (C_out, C_in, k, k, k), zero padding, plus
+    the bias b (C_out,) unless b is None.
 
     The padded input is split into stride^3 phases, phase (pz, py, px)
     holding the samples at (stride*i + pz, stride*j + py, stride*l + px);
@@ -113,13 +114,16 @@ def conv3d_forward(
         block = acc[:, c0:c1]
         for w_o, (p, off) in zip(w_taps, taps):
             block += _gemm(w_o, phases[p, :, off + c0 : off + c1])
-    out = acc.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] + b[:, None, None, None]
-    cache = (x.shape, w, stride, pad, phases)
+    out = acc.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out]
+    if b is not None:
+        out = out + b[:, None, None, None]
+    cache = (x.shape, w, stride, pad, phases, b is not None)
     return out, cache
 
 
 def conv3d_backward(grad_out: np.ndarray, cache):
-    """Returns (dx, dw, db) for conv3d_forward, in grad_out's dtype.
+    """Returns (dx, dw, db) for conv3d_forward, in grad_out's dtype; db is
+    None when the forward had no bias.
 
     The mirror of the forward on the same flat layout: grad_out is spread
     onto the output run (zeros in the cropped columns), then per column
@@ -127,14 +131,14 @@ def conv3d_backward(grad_out: np.ndarray, cache):
     dW_o += g_blk @ view_o.T and dphase[view_o] += W_o.T @ g_blk, where
     view_o = phase[:, off_o + c0 : off_o + c1].
     """
-    x_shape, w, stride, pad, phases = cache
+    x_shape, w, stride, pad, phases, has_bias = cache
     c_in, d, h, wd = x_shape
     c_out, _, k = w.shape[:3]
     (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x_shape, k, stride, pad)
     s = stride
     g_flat = np.zeros((c_out, d_out * hq * wq), dtype=grad_out.dtype)
     g_flat.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] = grad_out
-    db = grad_out.reshape(c_out, -1).sum(axis=1)
+    db = grad_out.reshape(c_out, -1).sum(axis=1) if has_bias else None
 
     w_taps = w.transpose(2, 3, 4, 0, 1).reshape(k**3, c_out, c_in)
     dw_taps = np.zeros(w_taps.shape, dtype=grad_out.dtype)

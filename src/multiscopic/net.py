@@ -8,15 +8,17 @@ Architecture (all kernels 3x3x3, padding 1, ReLU on hidden layers):
   by 1/n, so one model accepts any number of views at inference;
 * U-Net trunk: enc1 conv(4->8), down conv(8->8, stride 2), mid conv(8->8),
   nearest x2 upsample + up conv(8->8), skip-concat dec conv(16->8);
-* linear head conv(8->1) producing a D x H x W score volume.
+* linear head conv(8->1) without a bias, producing a D x H x W score volume.
 
 Scores are negated and softmaxed along D (low cost -> high probability);
 the disparity estimate is the probability-weighted mean of d_min..d_max,
 the soft-argmin of Kendall et al., "End-to-End Learning of Geometry and
 Context for Deep Stereo Regression" (GC-Net, ICCV 2017).  A
-zero-initialized head therefore starts from the uniform prior.
+zero-initialized head therefore starts from the uniform prior.  The
+softmax cancels a constant added to every score, so a head bias could
+change no output; the head has none.
 
-Total parameter budget: 10,309 floats.
+Total parameter budget: 10,308 floats.
 
 Everything here is plain numpy; backward passes are wired by hand through
 the primitives in layers.py and validated by grad_check.
@@ -34,50 +36,48 @@ from .errors import FormatError, InputError, TrainingError
 from .imagery import DisparityMap
 from . import layers
 
-# (name, c_in, c_out, stride); order is fixed and serialized.
+# (name, c_in, c_out, stride, bias); order is fixed, and all but the bias
+# flag is serialized.  Only the head has no bias (see the module docstring).
 LAYER_SPECS = (
-    ("stem1", 1, 4, 1),
-    ("stem2", 4, 4, 1),
-    ("enc1", 4, 8, 1),
-    ("down", 8, 8, 2),
-    ("mid", 8, 8, 1),
-    ("up", 8, 8, 1),
-    ("dec", 16, 8, 1),
-    ("head", 8, 1, 1),
+    ("stem1", 1, 4, 1, True),
+    ("stem2", 4, 4, 1, True),
+    ("enc1", 4, 8, 1, True),
+    ("down", 8, 8, 2, True),
+    ("mid", 8, 8, 1, True),
+    ("up", 8, 8, 1, True),
+    ("dec", 16, 8, 1, True),
+    ("head", 8, 1, 1, False),
 )
 KERNEL = 3
-NORM_MODES = ("standardize", "none")
 
 _MAGIC = b"MFN1"
-_VERSION = 1
+_VERSION = 2
 _TAG_CONV3D = 0
 
 
 class Conv3d:
-    """Parameter container for one convolution layer."""
+    """Parameter container for one convolution layer; b is None without a bias."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, stride: int):
+    def __init__(self, w: np.ndarray, b: np.ndarray | None, stride: int):
         self.w = w
         self.b = b
         self.stride = stride
 
 
 class FusionNet:
-    """The full network: named Conv3d layers plus the input-normalization mode."""
+    """The full network: one Conv3d per LAYER_SPECS entry, under its name."""
 
-    def __init__(self, convs: dict[str, Conv3d], norm_mode: str = "standardize"):
-        if norm_mode not in NORM_MODES:
-            raise InputError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-        for name, c_in, c_out, stride in LAYER_SPECS:
+    def __init__(self, convs: dict[str, Conv3d]):
+        for name, c_in, c_out, stride, bias in LAYER_SPECS:
             if name not in convs:
                 raise InputError(f"missing layer {name!r}")
             conv = convs[name]
-            if conv.w.shape != (c_out, c_in, KERNEL, KERNEL, KERNEL) or conv.b.shape != (c_out,):
+            shapes = (conv.w.shape, None if conv.b is None else conv.b.shape)
+            if shapes != ((c_out, c_in, KERNEL, KERNEL, KERNEL), (c_out,) if bias else None):
                 raise InputError(f"layer {name!r} has wrong parameter shapes")
             if conv.stride != stride:
                 raise InputError(f"layer {name!r} stride {conv.stride} != {stride}")
         self.convs = convs
-        self.norm_mode = norm_mode
 
     @property
     def dtype(self):
@@ -86,43 +86,41 @@ class FusionNet:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for name, *_ in LAYER_SPECS:
-            out.append((f"{name}.w", self.convs[name].w))
-            out.append((f"{name}.b", self.convs[name].b))
+            conv = self.convs[name]
+            out.append((f"{name}.w", conv.w))
+            if conv.b is not None:
+                out.append((f"{name}.b", conv.b))
         return out
 
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.parameters())
 
 
-def init_network(
-    seed: int, dtype=np.float32, norm_mode: str = "standardize"
-) -> FusionNet:
+def init_network(seed: int, dtype=np.float32) -> FusionNet:
     """He-style initialization for hidden layers; the head starts at zero so
     the first forward pass outputs the uniform disparity prior."""
     rng = np.random.default_rng(seed)
     convs = {}
-    for name, c_in, c_out, stride in LAYER_SPECS:
+    for name, c_in, c_out, stride, bias in LAYER_SPECS:
         shape = (c_out, c_in, KERNEL, KERNEL, KERNEL)
         if name == "head":
             w = np.zeros(shape, dtype=dtype)
         else:
             std = np.sqrt(2.0 / (c_in * KERNEL**3))
             w = (rng.standard_normal(shape) * std).astype(dtype)
-        convs[name] = Conv3d(w, np.zeros(c_out, dtype=dtype), stride)
-    return FusionNet(convs, norm_mode)
+        b = np.zeros(c_out, dtype=dtype) if bias else None
+        convs[name] = Conv3d(w, b, stride)
+    return FusionNet(convs)
 
 
-def normalize_volume(vol: CostVolume, mode: str) -> np.ndarray:
+def normalize_volume(vol: CostVolume) -> np.ndarray:
     """Input conditioning: clamp sentinels to the largest finite cost, then
-    optionally standardize to zero mean/unit variance (float64 statistics)."""
+    standardize to zero mean/unit variance (float64 statistics)."""
     costs = vol.costs
     finite = costs < LARGE_COST
     if not finite.any():
         return np.zeros_like(costs)
-    clamped = np.minimum(costs, costs[finite].max())
-    if mode == "none":
-        return clamped.copy()
-    x = clamped.astype(np.float64)
+    x = np.minimum(costs, costs[finite].max()).astype(np.float64)
     std = x.std()
     if std < 1e-6:
         return np.zeros_like(costs)
@@ -138,7 +136,7 @@ def _forward_cached(net: FusionNet, volumes: list[CostVolume]):
     stem_caches = []
     feat = None
     for vol in volumes:
-        x = normalize_volume(vol, net.norm_mode).astype(dtype)[None]
+        x = normalize_volume(vol).astype(dtype)[None]
         o1, c1 = layers.conv3d_forward(x, cv["stem1"].w, cv["stem1"].b)
         r1, m1 = layers.relu_forward(o1)
         o2, c2 = layers.conv3d_forward(r1, cv["stem2"].w, cv["stem2"].b)
@@ -235,12 +233,11 @@ def backward(
 
     def conv_back(name, gout, conv_cache):
         dx, dw, db = layers.conv3d_backward(gout, conv_cache)
-        if f"{name}.w" in grads:
-            grads[f"{name}.w"] += dw
-            grads[f"{name}.b"] += db
-        else:
-            grads[f"{name}.w"] = dw
-            grads[f"{name}.b"] = db
+        for key, g in ((f"{name}.w", dw), (f"{name}.b", db)):
+            if key in grads:
+                grads[key] += g
+            elif g is not None:
+                grads[key] = g
         return dx
 
     ddc = conv_back("head", dscores[None], cache["chead"])
@@ -312,7 +309,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 1
     rng_seed: int = 0
-    norm_mode: str = "standardize"
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -321,8 +317,6 @@ class TrainConfig:
             )
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if self.norm_mode not in NORM_MODES:
-            raise InputError(f"norm_mode must be one of {NORM_MODES}")
 
 
 _ADAM_B1 = 0.9
@@ -344,7 +338,7 @@ def train(
     if not dataset:
         raise InputError("training dataset is empty")
     if net is None:
-        net = init_network(cfg.rng_seed, norm_mode=cfg.norm_mode)
+        net = init_network(cfg.rng_seed)
     rng = np.random.default_rng(cfg.rng_seed + 1)
     params = net.parameters()
     m_state = {name: np.zeros_like(arr) for name, arr in params}
@@ -390,9 +384,6 @@ def train(
     return net, log
 
 
-_NORM_CODES = {name: i for i, name in enumerate(NORM_MODES)}
-
-
 def _non_finite_parameter(params: list[tuple[str, np.ndarray]]) -> str | None:
     """Name of the first parameter holding NaN or +-inf, if any."""
     for name, arr in params:
@@ -414,8 +405,8 @@ def save_net(net: FusionNet, path) -> None:
         raise InputError(f"{path}: parameter {bad} is not finite")
     blob = bytearray()
     blob += _MAGIC
-    blob += struct.pack("<IBI", _VERSION, _NORM_CODES[net.norm_mode], len(LAYER_SPECS))
-    for name, c_in, c_out, stride in LAYER_SPECS:
+    blob += struct.pack("<II", _VERSION, len(LAYER_SPECS))
+    for name, c_in, c_out, stride, _ in LAYER_SPECS:
         enc = name.encode("ascii")
         blob += struct.pack("<B", len(enc)) + enc
         blob += struct.pack("<BIIII", _TAG_CONV3D, c_in, c_out, KERNEL, stride)
@@ -441,11 +432,9 @@ def load_net(path) -> FusionNet:
 
     if take(4) != _MAGIC:
         raise FormatError(f"{path}: bad magic")
-    version, norm_code, n_layers = struct.unpack("<IBI", take(9))
+    version, n_layers = struct.unpack("<II", take(8))
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if norm_code >= len(NORM_MODES):
-        raise FormatError(f"{path}: unknown normalization code {norm_code}")
     if n_layers != len(LAYER_SPECS):
         raise FormatError(f"{path}: expected {len(LAYER_SPECS)} layers, got {n_layers}")
 
@@ -462,23 +451,20 @@ def load_net(path) -> FusionNet:
         if kernel != KERNEL:
             raise FormatError(f"{path}: unsupported kernel size {kernel}")
         descriptors.append((name, c_in, c_out, stride))
-    expected = [(n, ci, co, s) for n, ci, co, s in LAYER_SPECS]
-    if descriptors != expected:
+    if descriptors != [spec[:4] for spec in LAYER_SPECS]:
         raise FormatError(f"{path}: layer inventory does not match this build")
 
+    def floats(*shape: int) -> np.ndarray:
+        raw = take(4 * int(np.prod(shape)))
+        return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+
     convs = {}
-    for name, c_in, c_out, stride in descriptors:
-        w_size = c_out * c_in * KERNEL**3
-        w = np.frombuffer(take(4 * w_size), dtype="<f4").reshape(
-            c_out, c_in, KERNEL, KERNEL, KERNEL
-        )
-        b = np.frombuffer(take(4 * c_out), dtype="<f4")
-        convs[name] = Conv3d(
-            w.astype(np.float32).copy(), b.astype(np.float32).copy(), stride
-        )
+    for name, c_in, c_out, stride, bias in LAYER_SPECS:
+        w = floats(c_out, c_in, KERNEL, KERNEL, KERNEL)
+        convs[name] = Conv3d(w, floats(c_out) if bias else None, stride)
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
-    model = FusionNet(convs, NORM_MODES[norm_code])
+    model = FusionNet(convs)
     bad = _non_finite_parameter(model.parameters())
     if bad is not None:
         raise FormatError(f"{path}: parameter {bad} is not finite")

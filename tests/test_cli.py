@@ -402,7 +402,9 @@ def test_infer_non_ascii_layer_name_reports_path(tmp_path, capsys):
     weights = tmp_path / "bad.mfn"
     save_net(init_network(0), weights)
     raw = bytearray(weights.read_bytes())
-    raw[14] = 0xFF  # first byte of the first layer name (13-byte header, u8 length)
+    # first byte of the first layer name: after the magic, uint32 version,
+    # uint32 layer count and the name's u8 length
+    raw[struct.calcsize("<4sII") + 1] = 0xFF
     weights.write_bytes(bytes(raw))
     capsys.readouterr()
     assert run(["infer", "--in", str(data / "scene_0000"), "--weights", str(weights),
@@ -417,7 +419,7 @@ def test_infer_non_finite_weights_reports_path(tmp_path, capsys):
     weights = tmp_path / "nan.mfn"
     save_net(init_network(0), weights)
     raw = bytearray(weights.read_bytes())
-    raw[-4:] = np.array(np.nan, dtype="<f4").tobytes()  # head.b[0], the last weight
+    raw[-4:] = np.array(np.nan, dtype="<f4").tobytes()  # the last weight, of head.w
     weights.write_bytes(bytes(raw))
     capsys.readouterr()
     out = tmp_path / "inf"
@@ -806,6 +808,41 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path):
     assert sorted(p.name for p in one.iterdir()) == ["disp", "gc", "gc_cfg"]
     assert "max_sweeps=1" in (one / "gc_cfg" / "run.txt").read_text()
     assert "max_sweeps=8" in (one / "gc" / "run.txt").read_text()
+
+
+def test_train_refuses_out_that_the_loss_log_would_overwrite(tmp_path, capsys):
+    # the loss log goes to out.with_suffix(".log"); with out already *.log
+    # the log would replace the weights
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "model" / "W.log"
+    assert run(["train", "--data", str(data), "--rho", "1", "--d-max", "3",
+                "--epochs", "1", "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, out)
+    assert not out.parent.exists()
+    # refused before the dataset is read: a missing dataset is not reached
+    assert run(["train", "--data", str(tmp_path / "none"), "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, out)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_train_has_no_norm_mode(tmp_path, capsys, how):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    argv = ["train", "--data", str(data), "--rho", "1", "--d-max", "3",
+            "--epochs", "1", "--out", str(tmp_path / "model" / "net.mfn")]
+    if how == "flag":
+        argv += ["--norm-mode", "standardize"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("norm_mode=standardize\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: unrecognized arguments: --norm-mode standardize"
+    ]
+    assert not (tmp_path / "model").exists()
 
 
 @pytest.mark.parametrize("flags, what", [

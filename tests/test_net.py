@@ -1,5 +1,6 @@
 """Fusion network: forward semantics, analytic gradients, training, format."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from multiscopic.layers import (
     upsample_nearest_forward,
 )
 from multiscopic import layers
-from multiscopic.net import normalize_volume
+from multiscopic.net import KERNEL, LAYER_SPECS, Conv3d, normalize_volume
 
 from oracles import conv3d_oracle, conv3d_reference
 
@@ -180,6 +181,31 @@ def test_layer_ops_keep_float32():
     assert softmax_neg_backward(p.astype(f32), cache).dtype == f32
 
 
+@pytest.mark.parametrize("c", [-50.0, 0.5, 1e3])
+def test_softmax_neg_ignores_a_constant_added_to_every_score(c):
+    # why the head has no bias: one constant added to every score leaves
+    # the soft-argmin's probabilities unchanged, to rounding
+    scores = np.random.default_rng(5).standard_normal((6, 4, 5)) * 3.0
+    p0, _ = softmax_neg_forward(scores)
+    p1, _ = softmax_neg_forward(scores + c)
+    np.testing.assert_allclose(p1, p0, rtol=1e-12, atol=0)
+
+
+def test_conv3d_without_bias_matches_a_zero_bias():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 4, 5, 4))
+    w = rng.standard_normal((3, 2, 3, 3, 3))
+    out, cache = conv3d_forward(x, w, None, stride=2)
+    ref, ref_cache = conv3d_forward(x, w, np.zeros(3), stride=2)
+    np.testing.assert_array_equal(out, ref)
+    g = rng.standard_normal(out.shape)
+    dx, dw, db = conv3d_backward(g, cache)
+    ref_dx, ref_dw, _ = conv3d_backward(g, ref_cache)
+    assert db is None
+    np.testing.assert_array_equal(dx, ref_dx)
+    np.testing.assert_array_equal(dw, ref_dw)
+
+
 def test_upsample_nearest_shapes_and_adjoint():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 4, 5))
@@ -199,8 +225,16 @@ def test_upsample_nearest_shapes_and_adjoint():
 
 def test_param_count_within_budget():
     net = init_network(0)
-    assert net.param_count() == 10309
+    assert net.param_count() == 10308
     assert net.param_count() <= 20000
+
+
+@pytest.mark.parametrize("layer, bias", [("head", np.zeros(1)), ("mid", None)])
+def test_fusion_net_takes_a_bias_exactly_where_the_spec_has_one(layer, bias):
+    convs = dict(init_network(0).convs)
+    convs[layer] = Conv3d(convs[layer].w, bias, convs[layer].stride)
+    with pytest.raises(InputError, match=f"layer '{layer}' has wrong parameter shapes"):
+        FusionNet(convs)
 
 
 def test_fresh_net_outputs_uniform_prior():
@@ -282,15 +316,14 @@ def test_translation_consistency_on_shifted_volume():
     )
 
 
-def test_normalize_volume_modes():
+def test_normalize_volume_clamps_then_standardizes():
     costs = np.array([[[1.0, 2.0]], [[3.0, LARGE_COST]]], dtype=np.float32)
-    vol = _vol(costs)
-    std = normalize_volume(vol, "standardize")
+    std = normalize_volume(_vol(costs))
     assert abs(std.astype(np.float64).mean()) < 1e-6
     assert std.astype(np.float64).std() == pytest.approx(1.0, abs=1e-5)
-    raw = normalize_volume(vol, "none")
-    assert raw[1, 0, 1] == 3.0  # sentinel clamped to max finite cost
-    flat = normalize_volume(_vol(np.full((2, 1, 1), 4.0, dtype=np.float32)), "standardize")
+    # the sentinel is clamped to the largest finite cost before the statistics
+    assert std[1, 0, 1] == std[1, 0, 0]
+    flat = normalize_volume(_vol(np.full((2, 1, 1), 4.0, dtype=np.float32)))
     assert (flat == 0).all()
 
 
@@ -441,7 +474,6 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     p = tmp_path / "n.mfn"
     save_net(net, str(p))
     back = load_net(str(p))
-    assert back.norm_mode == net.norm_mode
     for (an, aa), (bn, ba) in zip(net.parameters(), back.parameters()):
         assert an == bn
         np.testing.assert_array_equal(aa, ba)
@@ -452,11 +484,46 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(d0.values, d1.values)
 
 
+# magic, uint32 version, uint32 layer count
+_MFN_HEADER = struct.calcsize("<4sII")
+
+
 def test_save_header_magic(tmp_path):
     net = init_network(28)
     p = tmp_path / "n.mfn"
     save_net(net, str(p))
     assert p.read_bytes()[:4] == b"MFN1"
+
+
+def test_mfn2_layout(tmp_path):
+    # the README's layout: 12-byte header, one descriptor per layer (u8
+    # name length, name, "<BIIII"), then the float32 parameters, which hold
+    # no head bias
+    net = init_network(28)
+    p = tmp_path / "n.mfn"
+    save_net(net, str(p))
+    raw = p.read_bytes()
+    assert struct.unpack("<4sII", raw[:12]) == (b"MFN1", 2, len(LAYER_SPECS))
+    assert len(raw) == 12 + sum(18 + len(name) for name, *_ in LAYER_SPECS) + 4 * 10308
+    names = [name for name, _ in net.parameters()]
+    assert "head.b" not in names and names[-1] == "head.w"
+
+
+def test_load_refuses_version_1(tmp_path):
+    # a version-1 file: the header carried a u8 norm code after the
+    # version, and the payload a head.b after head.w
+    net = init_network(28)
+    blob = b"MFN1" + struct.pack("<IBI", 1, 0, len(LAYER_SPECS))
+    for name, c_in, c_out, stride, _ in LAYER_SPECS:
+        blob += struct.pack("<B", len(name)) + name.encode("ascii")
+        blob += struct.pack("<BIIII", 0, c_in, c_out, KERNEL, stride)
+    for name, _, c_out, _, _ in LAYER_SPECS:
+        blob += net.convs[name].w.astype("<f4").tobytes()
+        blob += np.zeros(c_out, dtype="<f4").tobytes()
+    p = tmp_path / "v1.mfn"
+    p.write_bytes(blob)
+    with pytest.raises(FormatError, match=r"v1\.mfn: unsupported version 1$"):
+        load_net(str(p))
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -476,13 +543,13 @@ def test_load_rejects_wrong_inventory(tmp_path):
     p = tmp_path / "n.mfn"
     save_net(net, str(p))
     raw = bytearray(p.read_bytes())
-    # tamper with the first layer's kernel size field in its descriptor
-    name_len = raw[9 + 4]
-    # header: 4 magic + 4 version + 1 norm + 4 n_layers = 13; then u8 len
-    ofs = 13
-    nl = raw[ofs]
-    desc = ofs + 1 + nl  # start of "<BIIII": tag, c_in, c_out, kernel, stride
-    kern_ofs = desc + 1 + 4 + 4
+    # tamper with the first layer's kernel size field in its descriptor:
+    # the header, then a u8 name length, the name and "<BIIII" (tag, c_in,
+    # c_out, kernel, stride)
+    ofs = _MFN_HEADER
+    desc = ofs + 1 + raw[ofs]
+    kern_ofs = desc + struct.calcsize("<BII")
+    assert raw[kern_ofs] == KERNEL
     raw[kern_ofs] = 5
     q = tmp_path / "tampered.mfn"
     q.write_bytes(bytes(raw))
@@ -501,10 +568,10 @@ def test_weights_must_be_finite(tmp_path, bad):
         assert not p.exists()
     save_net(init_network(32), str(p))
     raw = bytearray(p.read_bytes())
-    raw[-4:] = np.array(bad, dtype="<f4").tobytes()  # head.b[0], the last weight
+    raw[-4:] = np.array(bad, dtype="<f4").tobytes()  # the last weight, of head.w
     q = tmp_path / "nan.mfn"
     q.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="nan.mfn.*head.b"):
+    with pytest.raises(FormatError, match="nan.mfn.*head.w"):
         load_net(str(q))
 
 
@@ -512,7 +579,7 @@ def test_load_rejects_non_ascii_layer_name(tmp_path):
     p = tmp_path / "n.mfn"
     save_net(init_network(31), str(p))
     raw = bytearray(p.read_bytes())
-    raw[14] = 0xFF  # first byte of the first layer name (13-byte header, u8 length)
+    raw[_MFN_HEADER + 1] = 0xFF  # first byte of the first layer name, after its u8 length
     q = tmp_path / "name.mfn"
     q.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="name.mfn"):

@@ -267,7 +267,7 @@ def test_hostile_headers_are_rejected_in_bounded_memory(tmp_path):
         "p6.ppm": b"P6\n%d %d\n255\n" % (_HUGE, _HUGE) + bytes(16),
         "pf.pfm": b"Pf\n%d %d\n-1\n" % (_HUGE, _HUGE) + bytes(16),
         "dmax.mcv": struct.pack("<4siiii", b"MCV1", 0, 2**31 - 1, 64, 64) + bytes(16),
-        "layers.mfn": b"MFN1" + struct.pack("<IBI", 1, 0, 2**32 - 1) + bytes(64),
+        "layers.mfn": b"MFN1" + struct.pack("<II", 2, 2**32 - 1) + bytes(64),
     }
     paths = []
     for name, data in hostile.items():
