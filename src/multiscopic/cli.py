@@ -33,7 +33,7 @@ from .imagery import (
     to_grayscale,
     write_image,
 )
-from .synthscene import VIEW_ORDER, load_scene
+from .synthscene import VIEW_ORDER, load_scene, load_views
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,10 +150,10 @@ def _load_gray(path: str) -> Image:
 
 
 def _input_set(args):
-    """Scene directory (--in) or explicit per-view image paths."""
+    """Scene directory (--in), of which only the images are read, or
+    explicit per-view image paths."""
     if args.scene_dir:
-        mset, _ = load_scene(args.scene_dir)
-        return mset
+        return load_views(args.scene_dir)
     if not args.center:
         raise InputError("need --in SCENE_DIR or --center plus view images")
     surround = []

@@ -15,17 +15,19 @@ Each SAD cost equals the float32 sum of its block's absolute differences
 added in row-major order.  On integer-valued images (every PGM input) with
 (2*rho+1)^2 * 255 < 2^24 every block sum is an integer that float32 holds
 exactly, so the block is summed in integers, separably, rows then columns,
-in 4*rho adds per slice: uint16 for rho <= 7, uint32 up to rho 127.  Any
-other input (PPM luma, upscaled `gc` images, float images, rho >= 128) is
-summed in float32 in the row-major order itself, (2*rho+1)^2 adds per
-slice.  Volumes hold float32; multiscopic_slices streams uint32 slices
-when every view's SAD takes the exact path, whose costs are integers.
+each by doubling (3 adds per axis at rho 2): uint16 for rho <= 7, uint32
+up to rho 127.  Any other input (PPM luma, upscaled `gc` images, float
+images, rho >= 128) is summed in float32 in the row-major order itself,
+(2*rho+1)^2 adds per slice.  Volumes hold float32; multiscopic_slices
+streams uint32 slices when every view's SAD takes the exact path, whose
+costs are integers.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
@@ -162,38 +164,103 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
 SliceWriter = Callable[[int, np.ndarray], None]
 
 
-def _integer_pads(a_pad: np.ndarray, b_pad: np.ndarray, rho: int):
-    """The padded images converted for the exact SAD path and the type of
-    its block sums, or None where that path does not apply.
+class _Scratch:
+    """What the writers of one view set share: the center, padded and
+    converted once, and one buffer per name and dtype.
 
-    The exact path needs both images integer-valued and every block sum,
-    at most (2*rho+1)^2 * 255, below 2^24 so it converts to float32
-    exactly.  The sum type is the narrowest unsigned type that holds that
-    bound; the images go to the signed type as wide, which holds the
-    differences of [0, 255] samples and their absolute values.
+    The writers of a set run one after another, and each copies its costs
+    out of the buffers before the next runs, so sharing changes no cost.
+    A buffer is keyed by its dtype as well, so a writer on SAD's float32
+    path never gets one of the exact path's integer buffers.
     """
-    bound = (2 * rho + 1) ** 2 * 255
-    if bound >= 2**24:
+
+    def __init__(self, center: Image, p: BlockMatchParams):
+        self.center = center
+        self.p = p
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def buffer(self, name: str, shape, dtype) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        if key not in self._buffers:
+            self._buffers[key] = np.empty(shape, dtype=dtype)
+        return self._buffers[key]
+
+    @cached_property
+    def center_pads(self) -> tuple[np.ndarray, tuple | None]:
+        """The center edge-padded by rho, and for SAD's exact path that
+        converted to the path's signed image type with the unsigned type of
+        its sums, or None where the path does not apply to the center.
+
+        The exact path needs every block sum, at most (2*rho+1)^2 * 255,
+        below 2^24 so it converts to float32 exactly, and integer-valued
+        images.  The sum type is the narrowest unsigned type that holds that
+        bound; the images go to the signed type as wide, which holds the
+        differences of [0, 255] samples and their absolute values.
+        """
+        pad = np.pad(self.center.pixels, self.p.rho, mode="edge")
+        bound = (2 * self.p.rho + 1) ** 2 * 255
+        if bound >= 2**24:
+            return pad, None
+        signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
+        converted = pad.astype(signed)
+        return pad, (converted, unsigned) if np.array_equal(converted, pad) else None
+
+
+def _integer_pads(work: _Scratch, b_pad: np.ndarray):
+    """The padded center and target converted for SAD's exact path and the
+    type of its block sums, or None where that path does not apply: both
+    images must be integer-valued and rho below 128."""
+    exact = work.center_pads[1]
+    if exact is None:
         return None
-    signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
-    a_int, b_int = a_pad.astype(signed), b_pad.astype(signed)
-    if not (np.array_equal(a_int, a_pad) and np.array_equal(b_int, b_pad)):
-        return None
-    return a_int, b_int, unsigned
+    a_int, unsigned = exact
+    b_int = b_pad.astype(a_int.dtype)
+    return (a_int, b_int, unsigned) if np.array_equal(b_int, b_pad) else None
+
+
+def _box_sums(src: np.ndarray, bufs: list[np.ndarray], length: int, step: int, n: int):
+    """The adds that leave s[i] = src[i] + src[i + step] + ... +
+    src[i + (length-1)*step] for i < n in one of bufs, by doubling.
+
+    Read left to right, each binary digit of length after the first doubles
+    the window (s_2m[i] = s_m[i] + s_m[i + m*step]) and, where it is 1,
+    widens it by one (s_2m+1[i] = s_2m[i] + src[i + 2m*step]): that is
+    floor(log2(length)) + popcount(length) - 1 adds.  Each add writes the
+    buffer of bufs that the previous one did not, so src and the window
+    being read are never written.  A window of width m is kept on the
+    n + (length - m)*step entries the later adds read.  Returns the adds as
+    (a, b, out) views and the buffer that ends up holding s.
+    """
+    adds = []
+    cur, m = src, 1
+    for digit in bin(length)[3:]:
+        steps = [(cur, m)] + ([(src, 1)] if digit == "1" else [])
+        for part, width in steps:
+            out = bufs[len(adds) % 2]
+            size = n + (length - m - width) * step
+            adds.append((cur[:size], part[m * step : m * step + size], out[:size]))
+            cur, m = out, m + width
+    return adds, cur
 
 
 def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
     """Sum of absolute differences over a (2*rho+1)^2 block, one disparity
     slice per call of the returned writer.
 
-    Block coordinates clamp at image borders.  The reference is edge-padded
-    by rho on every side once.  The target is edge-padded once too: by rho
-    across the shift axis and by rho + min(d_max, span) along it, where span
-    is the image extent on that axis, so the padding is bounded by the image
-    and not by d_max.  Each disparity's shifted target is then a slice view
-    of that copy; a shift of span or more leaves the frame and gives an
-    all-LARGE_COST slice without reading the target.  Each disparity builds
-    one absolute-difference plane and sums its (2*rho+1)^2 block.
+    The writer has a working set of its own; the writers of a view set
+    (multiscopic_slices, multiscopic_volumes) share one: the reference
+    edge-padded by rho on every side and converted, once per set, and one
+    difference plane and one pair of sum buffers per dtype (_Scratch).
+
+    Block coordinates clamp at image borders.  The target is edge-padded by
+    rho as well, once, and laid out as one flat run with room for
+    min(d_max, span) shifts at both ends, where span is the image extent on
+    the shift axis, so the copy is bounded by the image and not by d_max.
+    Each disparity's shifted target is then a contiguous slice of that run;
+    a kept cell's block reads only the padded rows it would read in the
+    target itself, and a shift of span or more leaves the frame and gives
+    an all-LARGE_COST slice without reading the target.  Each disparity
+    builds one absolute-difference plane and sums its (2*rho+1)^2 block.
 
     Every cell equals the float32 sum of its block in row-major order (dy
     outer, dx inner), so a scalar oracle with that order reproduces the
@@ -206,52 +273,60 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
       (rho <= 7, sums up to 57,375 < 2^16) or int32; each slice's
       differences and their absolute values are taken in that type and
       summed in its unsigned twin (uint16 or uint32) separably, along rows
-      and then down columns: 4*rho adds per slice.  The final copy into
-      a float32 or uint32 slice is exact, and the writer's dtype is uint32.
+      and then down columns, each window by doubling (_box_sums):
+      floor(log2(2*rho+1)) + popcount(2*rho+1) - 1 adds per axis, 3 at
+      rho 2 and 6 at rho 7.  The final copy into a float32 or uint32 slice
+      is exact, and the writer's dtype is uint32.
     * Otherwise (a non-integer intensity in either image, or rho >= 128):
       the (2*rho+1)^2 windows are added in float32 in row-major order, the
       one order whose rounding matches.
     """
-    _check_pair(ref, target)
-    a = ref.pixels
-    height, width = a.shape
+    return _sad_writer(_Scratch(ref, p), target, direction)
+
+
+def _sad_writer(work: _Scratch, target: Image, direction: Direction) -> SliceWriter:
+    """sad_slices' writer for one view over the set's shared scratch."""
+    p = work.p
+    _check_pair(work.center, target)
+    height, width = target.pixels.shape
     r = p.rho
     pw = width + 2 * r
+    plane = (height + 2 * r, pw)
     step_x, step_y = direction.offset(1)
     reach = min(p.d_max, width if step_x else height)
-    px, py = r + reach * abs(step_x), r + reach * abs(step_y)
-    a_pad = np.pad(a, r, mode="edge")
-    b_pad = np.pad(target.pixels, ((py, py), (px, px)), mode="edge")
-    exact = _integer_pads(a_pad, b_pad, r)
+    b_pad = np.pad(target.pixels, r, mode="edge")
+    exact = _integer_pads(work, b_pad)
     if exact:
         a_pad, b_pad, sum_type = exact
-    diff = np.empty((height + 2 * r, pw), dtype=a_pad.dtype)
+    else:
+        a_pad = work.center_pads[0]
+    # room for every shift at both ends, read only for cells not kept
+    slack = reach * (abs(step_x) + abs(step_y) * pw)
+    b_run = np.zeros(2 * slack + b_pad.size, dtype=b_pad.dtype)
+    b_run[slack : slack + b_pad.size] = b_pad.ravel()
+    a_run = a_pad.ravel()
+    diff = work.buffer("diff", plane, a_pad.dtype)
+    diff_run = diff.ravel()
     # Cell (v, u) of a padded plane sits at v*pw + u of its flat run, so a
     # shift by (dy, dx) is the run started dy*pw + dx later.  A run's
     # padding columns (u >= width) are summed too and never read.
     if exact:
         flat = diff.view(sum_type).ravel()
-        acc = np.empty((height + 2 * r) * pw, dtype=sum_type)
-        row_run = acc[: (height + 2 * r - 1) * pw + width]
-        col_run = flat[: (height - 1) * pw + width]
-        sums = flat.reshape(diff.shape)[:height, :width]
+        bufs = [work.buffer(name, flat.size, sum_type) for name in ("rows", "doubling")]
+        # rows: every cell the column pass reads; columns: every cell kept
+        row_adds, row_sums = _box_sums(flat, bufs, 2 * r + 1, 1, (height + 2 * r - 1) * pw + width)
+        free = [b for b in [flat] + bufs if b is not row_sums]
+        col_adds, col_sums = _box_sums(row_sums, free, 2 * r + 1, pw, (height - 1) * pw + width)
+        adds = row_adds + col_adds
+        sums = col_sums.reshape(plane)[:height, :width]
 
         def block_sum() -> None:
-            # acc[i] = sum over dx of flat[i + dx], for every cell the column
-            # pass reads; then flat[i] = sum over dy of acc[i + dy*pw]
-            src = flat
-            for dx in range(1, 2 * r + 1):
-                np.add(src[: row_run.size], flat[dx : dx + row_run.size], out=row_run)
-                src = row_run
-            src = row_run
-            for dy in range(1, 2 * r + 1):
-                start = dy * pw
-                np.add(src[: col_run.size], row_run[start : start + col_run.size], out=col_run)
-                src = col_run
+            for a, b, out in adds:
+                np.add(a, b, out=out)
 
     else:
-        flat = diff.ravel()
-        acc = np.empty(height * pw, dtype=np.float32)
+        flat = diff_run
+        acc = work.buffer("rows", height * pw, np.float32)
         run = acc[: height * pw - 2 * r]
         sums = acc.reshape(height, pw)[:, :width]
 
@@ -268,8 +343,8 @@ def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPar
         _fill_outside(out, rows, cols)
         if rows.start >= rows.stop or cols.start >= cols.stop:
             return
-        y0, x0 = py - r + oy, px - r + ox
-        np.subtract(a_pad, b_pad[y0 : y0 + height + 2 * r, x0 : x0 + pw], out=diff)
+        start = slack + oy * pw + ox
+        np.subtract(a_run, b_run[start : start + a_run.size], out=diff_run)
         np.abs(diff, out=diff)
         block_sum()
         out[rows, cols] = sums[rows, cols]
@@ -293,10 +368,16 @@ def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPara
     (the cells it keeps), where the shifted interval planes are plain slices
     of lo and hi: no shift there clamps, so no padding is needed.
     """
-    _check_pair(ref, target)
+    return _bt_writer(_Scratch(ref, p), target, direction)
+
+
+def _bt_writer(work: _Scratch, target: Image, direction: Direction) -> SliceWriter:
+    """bt_slices' writer for one view over the set's shared scratch."""
+    p = work.p
+    _check_pair(work.center, target)
     # adding +0.0 turns a -0.0 pixel into +0.0, so that no difference below
     # is -0.0 and no cost either
-    a = ref.pixels + np.float32(0.0)
+    a = work.center.pixels + np.float32(0.0)
     b = target.pixels + np.float32(0.0)
     height, width = a.shape
 
@@ -308,7 +389,7 @@ def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPara
     lo = cand.min(axis=0)
     hi = cand.max(axis=0)
     zero = np.float32(0.0)
-    below = np.empty_like(a)  # scratch for I_min - ref
+    below = work.buffer("below", a.shape, np.float32)  # for I_min - ref
 
     def write(k: int, out: np.ndarray) -> None:
         ox, oy = direction.offset(p.d_min + k)
@@ -329,7 +410,7 @@ def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchPara
     return write
 
 
-_MATCHERS = {"sad": sad_slices, "bt": bt_slices}
+_MATCHERS = {"sad": _sad_writer, "bt": _bt_writer}
 
 
 def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
@@ -354,19 +435,20 @@ def bt_cost_volume(
     return _volume(bt_slices(ref, target, direction, p), ref.pixels.shape, p)
 
 
-def _matcher(matcher: str):
+def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> list[SliceWriter]:
+    """The n views' writers, in set order, over one scratch they share."""
     if matcher not in _MATCHERS:
         raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
-    return _MATCHERS[matcher]
+    work = _Scratch(mset.center, p)
+    return [_MATCHERS[matcher](work, img, direction) for direction, img in mset.surround]
 
 
 def multiscopic_volumes(
     mset: MultiscopicSet, matcher: str, p: BlockMatchParams
 ) -> list[CostVolume]:
     """One cost volume per surrounding view, in set order."""
-    fn = _matcher(matcher)
     shape = mset.center.pixels.shape
-    return [_volume(fn(mset.center, img, direction, p), shape, p) for direction, img in mset.surround]
+    return [_volume(write, shape, p) for write in _writers(mset, matcher, p)]
 
 
 def multiscopic_slices(
@@ -379,8 +461,7 @@ def multiscopic_slices(
     scratch, refilled for the next disparity; a consumer is done with them
     (and may overwrite them) before it asks for the next list.
     """
-    fn = _matcher(matcher)
-    writers = [fn(mset.center, img, direction, p) for direction, img in mset.surround]
+    writers = _writers(mset, matcher, p)
     dtype = np.uint32 if all(w.dtype == np.uint32 for w in writers) else np.float32
     rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=dtype))
 

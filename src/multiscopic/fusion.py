@@ -15,10 +15,14 @@ left the frame never wins a fused cell.
 Each disparity slice is fused on its own.  Its rows hold float32 costs in
 [+0.0, +inf] (costvol.check_costs, run on each row read; anything else is
 an InputError), or uint32 integer costs from SAD's exact path, which need
-no check.  Either way the n costs per cell are ordered ascending by an
-odd-even transposition network of uint32 minimum/maximum on the bit
-patterns: on both that order is the cost order and equal costs have equal
-bits, so the result has the bits of any ascending sort.
+no check.  Either way the n costs per cell are ordered ascending by
+Batcher's odd-even merge network (Batcher, "Sorting networks and their
+applications", AFIPS 1968) of uint32 minimum/maximum on the bit patterns:
+on both that order is the cost order and equal costs have equal bits, so
+the result has the bits of any ascending sort.  The network is built once
+per fusion loop and pruned to the ranks the strategy reads (_network):
+rank 0 for MIN, ranks 0 to 2 for HEURISTIC, all for MEAN, whose float64
+sum runs in ascending order.
 
 One fusion loop, fuse_slices, runs over per-disparity lists of the n
 views' slices and yields float32.  fuse feeds it from whole volumes; the
@@ -34,13 +38,14 @@ is an integer below 2**24 and (f+2)*c2 < 2**24 in every cell: one dtype
 test and one maximum.  Then f*c2 and every sum that is kept are exact
 integers below 2**24, computed in uint32 and converted to float32
 exactly, so the comparison c3 > f*c2 has the float64 outcome whatever c3
-holds (LARGE_COST included), an outlier's (c1+c2)/2 is exact, and a
-non-outlier's c1 + c2 + c3 <= (f+2)*c2 is exact, so its /3 is one
-correctly rounded float32 division.  That equals the float64 quotient
-rounded to float32, since 53 >= 2*24 + 2 (Figueroa, "When is double
-rounding innocuous?", SIGNUM 1995).  SAD's costs meet the bound at the
-default factor 3 while the second-smallest cost stays below 2**24/5 (on
-8-bit images, any block up to rho 56 when that cost is no sentinel).
+holds (LARGE_COST included), an outlier's (c1+c2)/2 is exact (and taken
+at the outliers only), and a non-outlier's c1 + c2 + c3 <= (f+2)*c2 is
+exact, so its /3 is one correctly rounded float32 division.  That equals
+the float64 quotient rounded to float32, since 53 >= 2*24 + 2 (Figueroa,
+"When is double rounding innocuous?", SIGNUM 1995).  SAD's costs meet the
+bound at the default factor 3 while the second-smallest cost stays below
+2**24/5 (on 8-bit images, any block up to rho 56 when that cost is no
+sentinel).
 
 The WTA keeps its running minimum with np.minimum: equal costs have equal
 bits, so it does not matter which of two equal costs it keeps.
@@ -72,7 +77,7 @@ class _Scratch:
         self.x = np.empty(shape, dtype=np.uint32)
         self.outlier = np.empty(shape, dtype=bool)
         self.f64 = np.empty((3,) + shape, dtype=np.float64)
-        self.f32 = np.empty(shape, dtype=np.float32)  # never one of the ordered rows
+        self.sums = np.empty(shape, dtype=np.uint32)  # never one of the ordered rows
         self.out = np.empty(shape, dtype=np.float32)
 
 
@@ -88,24 +93,66 @@ def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray, x: np.ndarray) -
     bits ^= x
 
 
-def _order_cells(rows: list[np.ndarray], work: _Scratch) -> list[np.ndarray]:
-    """Sort n rows of costs ascending per cell, and return the n sorted
-    arrays, of the rows' dtype: float32 in [+0.0, +inf] or uint32.
+def _network(n: int, strategy: FusionStrategy) -> list[tuple[int, int, bool]]:
+    """Batcher's odd-even merge sorting network for n rows, pruned to the
+    comparators that the ranks the strategy reads depend on.
 
-    An odd-even transposition network: n rounds of compare-exchange on
-    adjacent rows, each a uint32 minimum into a spare array (first work.x)
-    and a maximum in place, after which the spare and the old lower row
-    trade places.  The result is some n of the rows and work.x, and the
-    rows' old contents are used up.
+    The network is built for the next power of two and its comparators on
+    rows past n dropped, as if those rows held +inf.  Walked backwards, a
+    comparator (i, j), i < j, is kept when row i or row j is read later,
+    and then both its inputs are; where only row i is read, it keeps only
+    its minimum.  MIN reads rank 0 and keeps n - 1 minima, one pass each.
+    HEURISTIC on n >= 3 rows reads ranks 0 to 2: at n = 4 that keeps
+    (0,1), (2,3), (0,2) and (1,2) whole and the minimum of (1,3), 9 passes
+    where the whole network takes 10.  MEAN reads every rank.  Returns
+    (i, j, exchange) triples, exchange False for a minimum only.
+    """
+    size = 1 << max(n - 1, 0).bit_length()
+    comparators = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + k):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
+                        comparators.append((i, i + k))
+            k //= 2
+        p *= 2
+    if strategy is FusionStrategy.MEAN:
+        read = set(range(n))
+    else:
+        read = set(range(3 if strategy is FusionStrategy.HEURISTIC and n >= 3 else 1))
+    kept = []
+    for i, j in reversed(comparators):
+        if i in read or j in read:
+            kept.append((i, j, j in read))
+            read |= {i, j}
+    return kept[::-1]
+
+
+def _order_cells(
+    rows: list[np.ndarray], network: list[tuple[int, int, bool]], work: _Scratch
+) -> list[np.ndarray]:
+    """Order n rows of costs ascending per cell on the ranks the network
+    keeps (_network), and return the n arrays, of the rows' dtype: float32
+    in [+0.0, +inf] or uint32, that hold rank 0, 1, ... where it is kept.
+
+    Each comparator is a uint32 minimum and maximum on the bit patterns: a
+    compare-exchange takes the minimum into a spare array (first work.x)
+    and the maximum in place, after which the spare and the old lower row
+    trade places; a minimum only is taken in place.  The result is some n
+    of the rows and work.x, and the rows' old contents are used up.
     """
     bits = [row.view(np.uint32) for row in rows]
-    n = len(rows)
     spare = work.x
-    for rnd in range(n):
-        for i in range(rnd % 2, n - 1, 2):
-            np.minimum(bits[i], bits[i + 1], out=spare)
-            np.maximum(bits[i], bits[i + 1], out=bits[i + 1])
+    for i, j, exchange in network:
+        if exchange:
+            np.minimum(bits[i], bits[j], out=spare)
+            np.maximum(bits[i], bits[j], out=bits[j])
             bits[i], spare = spare, bits[i]
+        else:
+            np.minimum(bits[i], bits[j], out=bits[i])
     return [b.view(rows[0].dtype) for b in bits]
 
 
@@ -129,14 +176,17 @@ def _fuse_slice(
         int(srt[1].max()) * (int_factor + 2) < 2**24
     ):
         c1, c2, c3 = srt[:3]  # used-up scratch, overwritten here
-        x = work.f32.view(np.uint32)  # never one of the ordered rows
+        x = work.sums
         np.multiply(c2, np.uint32(int_factor), out=x)
         np.greater(c3, x, out=work.outlier)
         np.add(c1, c2, out=c1)
         np.add(c1, c3, out=x)  # may wrap only where outlier drops it
-        np.divide(x, np.float32(3.0), out=work.out, dtype=np.float32)
-        np.divide(c1, np.float32(2.0), out=work.f32, dtype=np.float32)
-        np.copyto(work.out, work.f32, where=work.outlier)
+        # every kept sum is below 2**24, so its int32 view holds it, and
+        # NumPy casts int32 to float32 faster than uint32
+        np.copyto(work.out, x.view(np.int32))
+        work.out /= np.float32(3.0)
+        np.divide(c1.view(np.int32), np.float32(2.0), out=work.out, where=work.outlier,
+                  dtype=np.float32)
         return
     c1, c2, c3 = work.f64
     np.copyto(c1, srt[0])
@@ -196,7 +246,8 @@ def fuse_slices(
                     check_costs(row, f"fusion slice {k}, view {i}")
             if work is None:
                 work = _Scratch(rows[0].shape)
-            srt = _order_cells(rows, work)
+                network = _network(len(rows), strategy)
+            srt = _order_cells(rows, network, work)
             _fuse_slice(srt, strategy, heuristic_factor, int_factor, work)
             yield work.out
 

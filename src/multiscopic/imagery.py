@@ -169,9 +169,10 @@ def to_grayscale(color: ColorImage) -> Image:
 
 # Jet ramp anchors: blue -> cyan -> green -> yellow -> red, 4 linear segments.
 _JET_POS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-_JET_R = np.array([0.0, 0.0, 0.0, 255.0, 255.0])
-_JET_G = np.array([0.0, 255.0, 255.0, 255.0, 0.0])
-_JET_B = np.array([255.0, 255.0, 0.0, 0.0, 0.0])
+_JET_RGB = np.array([[0.0, 0.0, 255.0], [0.0, 255.0, 255.0], [0.0, 255.0, 0.0],
+                     [255.0, 255.0, 0.0], [255.0, 0.0, 0.0]])
+# each segment's slope per channel, as np.interp computes it
+_JET_SLOPE = np.diff(_JET_RGB, axis=0) / np.diff(_JET_POS)[:, None]
 _F32 = np.finfo(np.float32)
 _F32_MAX = float(_F32.max)
 
@@ -179,9 +180,13 @@ _F32_MAX = float(_F32.max)
 def colorize_jet(disparity: DisparityMap, d_max: float) -> ColorImage:
     """Render a disparity map through the Jet ramp; invalid pixels come out black.
 
-    The ramp position is computed in float32, so d_max must be a positive
+    The ramp position t is computed in float32, so d_max must be a positive
     float32 value.  One below float32's smallest step counts as that step;
     quotients past the float32 range clip to the ramp end as any above 1 do.
+    Each channel is rint(slope * (t - pos[j]) + value[j]) on t's segment j,
+    in float64: np.interp's arithmetic, found once for all three channels
+    (t * 4 is exact, so its floor is the segment, and t = 1 takes the last
+    segment's end).
     """
     if not 0 < d_max <= _F32_MAX:
         raise InputError(f"d_max must be positive and at most {_F32_MAX:g}, got {d_max}")
@@ -189,10 +194,15 @@ def colorize_jet(disparity: DisparityMap, d_max: float) -> ColorImage:
     step = max(np.float32(d_max), _F32.smallest_subnormal)
     with np.errstate(over="ignore"):
         t = np.clip(np.where(valid, disparity.values, 0.0) / step, 0.0, 1.0)
+    seg = np.minimum((t * 4).astype(np.intp), 3)
+    offset = t - _JET_POS[seg]
     rgb = np.empty(t.shape + (3,), dtype=np.uint8)
-    for c, ramp in enumerate((_JET_R, _JET_G, _JET_B)):
-        chan = np.rint(np.interp(t, _JET_POS, ramp)).astype(np.uint8)
-        rgb[..., c] = np.where(valid, chan, 0)
+    for c in range(3):
+        chan = _JET_SLOPE[:, c][seg]
+        chan *= offset
+        chan += _JET_RGB[:, c][seg]
+        chan *= valid
+        rgb[..., c] = np.rint(chan, out=chan)
     return ColorImage(rgb)
 
 

@@ -272,12 +272,11 @@ def _read_as(path: Path, kind: type, what: str, shape: Optional[tuple[int, int]]
     return img
 
 
-def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[DisparityMap]]:
-    """Read a scene directory back into containers.
+def load_views(scene_dir: Union[str, Path]) -> MultiscopicSet:
+    """Read a scene directory's images, and nothing else, into a set.
 
-    Requires center.pgm and at least one directional view; gt.pfm is
-    optional (None when absent) so user-supplied rectified sets load too.
-    Every view and gt.pfm must have center.pgm's shape.
+    Requires center.pgm and at least one directional view, each of
+    center.pgm's shape.
     """
     scene_dir = Path(scene_dir)
     center_path = scene_dir / "center.pgm"
@@ -292,7 +291,16 @@ def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[Di
             surround.append((direction, _read_as(path, Image, "grayscale image", shape)))
     if not surround:
         raise InputError(f"{scene_dir}: no directional views found")
-    mset = MultiscopicSet(center, surround)
-    gt_path = scene_dir / "gt.pfm"
-    gt = _read_as(gt_path, DisparityMap, "disparity map", shape) if gt_path.exists() else None
-    return mset, gt
+    return MultiscopicSet(center, surround)
+
+
+def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[DisparityMap]]:
+    """Read a scene directory back into containers: load_views' set and
+    gt.pfm, which is optional (None when absent) so user-supplied rectified
+    sets load too, and must have center.pgm's shape.
+    """
+    mset = load_views(scene_dir)
+    gt_path = Path(scene_dir) / "gt.pfm"
+    if not gt_path.exists():
+        return mset, None
+    return mset, _read_as(gt_path, DisparityMap, "disparity map", (mset.height, mset.width))

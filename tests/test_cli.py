@@ -499,7 +499,6 @@ def test_disparity_truncated_center_reports_path(tmp_path, capsys):
     ("train", "gt.pfm"),
     ("train", "left.pgm"),
     ("disparity", "top.pgm"),
-    ("disparity", "gt.pfm"),
 ])
 def test_scene_file_of_another_shape_is_named(tmp_path, capsys, command, name):
     data = _synth(tmp_path)  # 12 x 16 views
@@ -514,6 +513,33 @@ def test_scene_file_of_another_shape_is_named(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err == f"error: {path}: shape (5, 7) differs from center.pgm's (12, 16)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gt", ["garbage", "another-shape"])
+@pytest.mark.parametrize("command", ["disparity", "gc", "cost", "infer"])
+def test_commands_without_ground_truth_ignore_gt_pfm(tmp_path, command, gt):
+    # only train reads gt.pfm; the others read the center and the views, so
+    # a corrupt or mis-shaped gt.pfm changes neither their exit code nor
+    # a byte they write
+    data = _synth(tmp_path)
+    scene = data / "scene_0000"
+    argv = [command, "--in", str(scene), "--rho", "1", "--d-max", "3"]
+    if command == "gc":
+        argv += ["--upscale", "1", "--max-sweeps", "1"]
+    if command == "infer":
+        weights = tmp_path / "net.mfn"
+        assert run(["train", "--data", str(data), "--rho", "1", "--d-max", "3", "--epochs", "1",
+                    "--out", str(weights)]) == 0
+        argv += ["--weights", str(weights)]
+    assert run(argv + ["--out", str(tmp_path / "before")]) == 0
+    if gt == "garbage":
+        (scene / "gt.pfm").write_bytes(b"garbage")
+    else:
+        multiscopic.write_image(scene / "gt.pfm", DisparityMap(np.ones((5, 7), np.float32)))
+    assert run(argv + ["--out", str(tmp_path / "after")]) == 0
+    before, after = _tree_bytes(tmp_path / "before"), _tree_bytes(tmp_path / "after")
+    before.pop("run.txt"), after.pop("run.txt")  # names the --out given
+    assert before == after and before
 
 
 @pytest.mark.parametrize("command", ["disparity", "gc", "cost"])

@@ -150,6 +150,20 @@ def test_sad_block_sums_reach_their_integer_type_bounds(rho, h, w):
         assert got.costs[0].max() == (2 * rho + 1) ** 2 * 255
 
 
+# rho whose windows 2*rho+1 have 1 to 5 binary ones (1, 3, 7, 15 and 31
+# among them), summed by doubling in uint16 (rho <= 7) and uint32
+@pytest.mark.parametrize("rho", [0, 1, 3, 4, 5, 7, 8, 15])
+def test_sad_doubling_sums_match_the_oracle(rho):
+    rng = np.random.default_rng(300 + rho)
+    for direction, (h, w) in zip(DIRS, [(9, 11), (11, 9), (2 * rho + 3, 5), (4, 2 * rho + 6)]):
+        ref, tgt = _full_range_int_pair(rng, h, w)
+        write = costvol.sad_slices(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=2))
+        assert write.dtype == np.uint32  # the exact path, which sums by doubling
+        got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=2))
+        want = sad_oracle(ref.pixels, tgt.pixels, direction.value, rho, 0, 2)
+        assert got.costs.tobytes() == want.tobytes(), (direction, h, w)
+
+
 def test_sad_wide_block_keeps_the_row_major_order():
     # (2*128+1)^2 * 255 = 16842495 is past 2^24, so the sums round and only
     # the row-major order gives the oracle's bits (a separable sum gives
@@ -381,6 +395,29 @@ def test_multiscopic_slices_are_uint32_when_every_sad_writer_is_exact(tmp_path):
                               ("sad", one_view, BlockMatchParams(rho=128, d_min=0, d_max=0))]:
         rows = next(multiscopic_slices(views, matcher, q))
         assert [row.dtype for row in rows] == [np.float32] * len(views.surround)
+
+
+@pytest.mark.parametrize("rho", [7, 8])  # int16 and int32 images on the exact path
+@pytest.mark.parametrize("fractional_first", [False, True])
+def test_shared_scratch_keeps_each_views_costs(rho, fractional_first):
+    # one set of integer views and one fractional-luma view, whose writers
+    # share one scratch: the exact writers' integer buffers and the
+    # fractional one's float32 buffers, in either order of first use, give
+    # each view the bytes of its own sad_cost_volume
+    rng = np.random.default_rng(60 + rho)
+    center = _int_image(rng, 13, 17)
+    fractional = Image(rng.integers(0, 256, size=(13, 17)).astype(np.float32) * np.float32(0.587))
+    views = [(Direction.LEFT, _int_image(rng, 13, 17)), (Direction.TOP, fractional),
+             (Direction.BOTTOM, _int_image(rng, 13, 17))]
+    if fractional_first:
+        views = views[1:] + views[:1]
+    mset = MultiscopicSet(center, views)
+    p = BlockMatchParams(rho=rho, d_min=0, d_max=5)
+    want = [sad_cost_volume(center, img, direction, p).costs for direction, img in views]
+    got = np.stack([np.stack(rows) for rows in multiscopic_slices(mset, "sad", p)], axis=1)
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.stack(want).tobytes()
+    assert np.stack([v.costs for v in multiscopic_volumes(mset, "sad", p)]).tobytes() == got.tobytes()
 
 
 # ------------------------------------------------------------------- format

@@ -17,6 +17,7 @@ from multiscopic import (
     wta_disparity,
     wta_slices,
 )
+from multiscopic import fusion
 from multiscopic.cli import run
 
 from oracles import heuristic_oracle, wta_reference
@@ -183,7 +184,7 @@ def test_fusion_bytes_match_stable_sort_reference(n, strategy):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
 def test_fusion_bytes_match_stable_sort_reference_with_ties(n, strategy):
     # full-size slices whose costs come from a few integer levels, so most
@@ -222,7 +223,7 @@ def _assert_fuse_matches_reference(stack, strategy, factor):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
 def test_fusion_bytes_match_stable_sort_reference_on_clean_slices(n, strategy):
     # ties everywhere, +inf and the float32 maximum next to LARGE_COST, and
@@ -347,7 +348,7 @@ def _integer_edge_stack(n, f, seed):
     return np.stack([stack[:, 0], past, stack[:, 1]], axis=1).astype(np.uint32)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("f", [1, 3])
 def test_heuristic_bound_edges_match_stable_sort_reference(n, f):
     # the float32 stack, halves and +inf included, through fuse; its integer
@@ -364,7 +365,7 @@ def test_heuristic_bound_edges_match_stable_sort_reference(n, f):
         assert np.stack(got).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("strategy", list(FusionStrategy))
 def test_uint32_rows_fuse_to_the_float32_rows_bytes(n, strategy):
     # integer costs with ties fuse to the same float32 bytes from uint32 rows
@@ -380,6 +381,52 @@ def test_uint32_rows_fuse_to_the_float32_rows_bytes(n, strategy):
         want = fuse([_vol(v) for v in ints.astype(np.float32)], strategy, factor).costs
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+# the ranks each strategy reads of n ordered costs
+def _ranks_read(strategy, n):
+    if strategy is FusionStrategy.MEAN:
+        return n
+    return 3 if strategy is FusionStrategy.HEURISTIC and n >= 3 else 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("strategy", list(FusionStrategy))
+def test_pruned_network_orders_the_ranks_read(n, strategy):
+    # uint32 rows of 0, ties, LARGE_COST's bits and +inf's bits: every cell
+    # of every 0/1 pattern over n rows (which decides whether a comparator
+    # network sorts, Knuth's 0-1 principle), then random rows drawn from
+    # those levels; the ranks the strategy reads come out as np.sort's
+    levels = np.array([0, 1, 2, 7, LARGE_COST, np.inf], dtype=np.float32).view(np.uint32)
+    patterns = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint32).T
+    rng = np.random.default_rng(40 + n)
+    drawn = levels[rng.integers(0, len(levels), size=(n, 4096))]
+    for lo, hi in [(0, 1), (levels[-2], levels[-1])]:
+        drawn = np.concatenate([drawn, np.where(patterns == 1, hi, lo).astype(np.uint32)], axis=1)
+    network = fusion._network(n, strategy)
+    ordered = fusion._order_cells(list(drawn.copy()), network, fusion._Scratch(drawn.shape[1:]))
+    read = _ranks_read(strategy, n)
+    assert np.array_equal(np.stack(ordered[:read]), np.sort(drawn, axis=0)[:read])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pruned_network_pass_counts(n):
+    # a compare-exchange is a minimum and a maximum, a kept minimum one
+    # pass: MIN takes n - 1 minima, and MEAN's whole Batcher network no more
+    # passes than the n rounds of odd-even transposition
+    def passes(strategy):
+        return sum(2 if exchange else 1 for _, _, exchange in fusion._network(n, strategy))
+
+    transposition = 2 * sum(len(range(r % 2, n - 1, 2)) for r in range(n))
+    assert passes(FusionStrategy.MIN) == n - 1
+    assert passes(FusionStrategy.HEURISTIC) <= passes(FusionStrategy.MEAN) <= transposition
+
+
+def test_heuristic_network_at_four_views():
+    # 9 passes where the whole network takes 10 and transposition 12
+    assert fusion._network(4, FusionStrategy.HEURISTIC) == [
+        (0, 1, True), (2, 3, True), (0, 2, True), (1, 3, False), (1, 2, True)
+    ]
 
 
 # ------------------------------------------------------------------- WTA

@@ -327,3 +327,34 @@ def test_colorize_jet_extreme_d_max_is_silent(d_max):
         rgb = colorize_jet(d, d_max).pixels[0].tolist()
     far = [255, 0, 0] if d_max < 1 else [0, 0, 255]
     assert rgb == [[0, 0, 255], far, far, [0, 0, 0]]
+
+
+def _jet_interp_reference(disparity, d_max):
+    """colorize_jet written with np.interp, one call per channel."""
+    pos = [0.0, 0.25, 0.5, 0.75, 1.0]
+    ramps = [[0, 0, 0, 255, 255], [0, 255, 255, 255, 0], [255, 255, 0, 0, 0]]
+    valid = np.isfinite(disparity.values)
+    step = max(np.float32(d_max), np.finfo(np.float32).smallest_subnormal)
+    with np.errstate(over="ignore"):
+        t = np.clip(np.where(valid, disparity.values, 0.0) / step, 0.0, 1.0)
+    chans = [np.where(valid, np.rint(np.interp(t, pos, ramp)).astype(np.uint8), 0) for ramp in ramps]
+    return np.stack(chans, axis=-1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("d_max", [32.0, 1.0, 7.3, 1e-30, 3e38, 1e-45])
+def test_colorize_jet_matches_np_interp(d_max):
+    # random disparities around [0, d_max], every breakpoint, its float32
+    # neighbours, the ramp ends and +inf: the bytes of np.interp's ramp
+    rng = np.random.default_rng(7)
+    step = max(np.float32(d_max), np.finfo(np.float32).smallest_subnormal)
+    points = np.float32([0.0, 0.25, 0.5, 0.75, 1.0]) * step
+    values = np.concatenate([
+        (rng.uniform(-0.1, 1.1, 40_000) * float(step)).astype(np.float32),
+        points, np.nextafter(points, np.float32(-np.inf)), np.nextafter(points, np.float32(np.inf)),
+        np.float32([-0.0, np.inf, np.finfo(np.float32).max, -np.finfo(np.float32).max]),
+    ])
+    d = DisparityMap(values.reshape(1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = colorize_jet(d, d_max).pixels
+    assert got.tobytes() == _jet_interp_reference(d, d_max).tobytes()
