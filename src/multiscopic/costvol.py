@@ -6,28 +6,29 @@ the target image hold the LARGE_COST sentinel and are excluded from WTA.
 
 Every cost is in [+0.0, +inf]: no NaN, no -0.0, nothing negative.  The
 matchers write only such costs, and check_costs is the one test of that
-contract: CostVolume runs it on its costs, fusion and the WTA on every
-slice they read, and the .mcv reader and writer, which also require the
-costs finite, on the file's costs.  On such floats equal costs have equal
-bits and the uint32 order of the bits is the float order.
+contract: CostVolume runs it on its costs, fusion on every float32 slice
+it reads (uint32 slices hold SAD's integer costs and need none), the WTA
+on every slice it reads, and the .mcv reader and writer, which also
+require the costs finite, on the file's costs.  On such floats equal
+costs have equal bits and the uint32 order of the bits is the float order.
 
 Each SAD cost equals the float32 sum of its block's absolute differences
-added in row-major order.  On integer-valued images (every PGM input) with
-(2*rho+1)^2 * 255 < 2^24 every block sum is an integer that float32 holds
-exactly, so the block is summed in integers, separably, rows then columns,
-each by doubling (3 adds per axis at rho 2): uint16 for rho <= 7, uint32
-up to rho 127.  Any other input (PPM luma, upscaled `gc` images, float
-images, rho >= 128) is summed in float32 in the row-major order itself,
-(2*rho+1)^2 adds per slice.  Volumes hold float32; multiscopic_slices
-streams uint32 slices when every view's SAD takes the exact path, whose
-costs are integers.
+added in row-major order.  The matchers are set up once per view set
+(multiscopic_slices, multiscopic_volumes), and SAD picks its summation
+once for the set: when every image is integer-valued (every PGM input)
+and (2*rho+1)^2 * 255 < 2^24, every block sum is an integer that float32
+holds exactly, so blocks are summed in integers, separably, rows then
+columns, each by doubling (3 adds per axis at rho 2): uint16 for rho <= 7,
+uint32 up to rho 127.  Any other set (one PPM luma, upscaled `gc` or float
+image in it, or rho >= 128) is summed in float32 in the row-major order
+itself.  Volumes hold float32; multiscopic_slices streams the set's cost
+dtype, uint32 on the exact path, whose costs are integers.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Union
 
@@ -156,66 +157,14 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
     out[:, cols.stop :] = LARGE_COST
 
 
-# A matcher set up for one view: write(k, out) stores the (H, W) costs of
-# disparity d_min + k in out, every cell of it.  write.dtype is the type
-# its costs are exact in: uint32 on SAD's exact path, whose costs are
-# integers, float32 on SAD's row-major path and on BT.  out may be float32
-# or write.dtype.
+# A matcher set up for one view of a set: write(k, out) stores the (H, W)
+# costs of disparity d_min + k in out, every cell of it.  The writers of a
+# set share their buffers and run one after another.  out is float32 or
+# the set's cost dtype (uint32 on SAD's exact path).
 SliceWriter = Callable[[int, np.ndarray], None]
 
-
-class _Scratch:
-    """What the writers of one view set share: the center, padded and
-    converted once, and one buffer per name and dtype.
-
-    The writers of a set run one after another, and each copies its costs
-    out of the buffers before the next runs, so sharing changes no cost.
-    A buffer is keyed by its dtype as well, so a writer on SAD's float32
-    path never gets one of the exact path's integer buffers.
-    """
-
-    def __init__(self, center: Image, p: BlockMatchParams):
-        self.center = center
-        self.p = p
-        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
-
-    def buffer(self, name: str, shape, dtype) -> np.ndarray:
-        key = (name, np.dtype(dtype))
-        if key not in self._buffers:
-            self._buffers[key] = np.empty(shape, dtype=dtype)
-        return self._buffers[key]
-
-    @cached_property
-    def center_pads(self) -> tuple[np.ndarray, tuple | None]:
-        """The center edge-padded by rho, and for SAD's exact path that
-        converted to the path's signed image type with the unsigned type of
-        its sums, or None where the path does not apply to the center.
-
-        The exact path needs every block sum, at most (2*rho+1)^2 * 255,
-        below 2^24 so it converts to float32 exactly, and integer-valued
-        images.  The sum type is the narrowest unsigned type that holds that
-        bound; the images go to the signed type as wide, which holds the
-        differences of [0, 255] samples and their absolute values.
-        """
-        pad = np.pad(self.center.pixels, self.p.rho, mode="edge")
-        bound = (2 * self.p.rho + 1) ** 2 * 255
-        if bound >= 2**24:
-            return pad, None
-        signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
-        converted = pad.astype(signed)
-        return pad, (converted, unsigned) if np.array_equal(converted, pad) else None
-
-
-def _integer_pads(work: _Scratch, b_pad: np.ndarray):
-    """The padded center and target converted for SAD's exact path and the
-    type of its block sums, or None where that path does not apply: both
-    images must be integer-valued and rho below 128."""
-    exact = work.center_pads[1]
-    if exact is None:
-        return None
-    a_int, unsigned = exact
-    b_int = b_pad.astype(a_int.dtype)
-    return (a_int, b_int, unsigned) if np.array_equal(b_int, b_pad) else None
+# A view set's writers, in set order, and the dtype their costs are exact in.
+Writers = tuple[list[SliceWriter], type]
 
 
 def _box_sums(src: np.ndarray, bufs: list[np.ndarray], length: int, step: int, n: int):
@@ -245,172 +194,172 @@ def _box_sums(src: np.ndarray, bufs: list[np.ndarray], length: int, step: int, n
 
 def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
     """Sum of absolute differences over a (2*rho+1)^2 block, one disparity
-    slice per call of the returned writer.
+    slice per call of the returned writer: the writer of a one-view set
+    (_sad_writers)."""
+    _check_pair(ref, target)
+    return _sad_writers(ref, [(direction, target)], p)[0][0]
 
-    The writer has a working set of its own; the writers of a view set
-    (multiscopic_slices, multiscopic_volumes) share one: the reference
-    edge-padded by rho on every side and converted, once per set, and one
-    difference plane and one pair of sum buffers per dtype (_Scratch).
 
-    Block coordinates clamp at image borders.  The target is edge-padded by
-    rho as well, once, and laid out as one flat run with room for
+def _sad_writers(
+    center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
+) -> Writers:
+    """SAD's writers for the views of one set.
+
+    Block coordinates clamp at image borders: every image is edge-padded by
+    rho, once.  Each target is laid out as one flat run with room for
     min(d_max, span) shifts at both ends, where span is the image extent on
     the shift axis, so the copy is bounded by the image and not by d_max.
     Each disparity's shifted target is then a contiguous slice of that run;
     a kept cell's block reads only the padded rows it would read in the
     target itself, and a shift of span or more leaves the frame and gives
-    an all-LARGE_COST slice without reading the target.  Each disparity
-    builds one absolute-difference plane and sums its (2*rho+1)^2 block.
+    an all-LARGE_COST slice without reading the target.  Each slice takes
+    one absolute-difference plane and sums its blocks by one list of adds,
+    built once for the set over buffers the writers share.
 
     Every cell equals the float32 sum of its block in row-major order (dy
     outer, dx inner), so a scalar oracle with that order reproduces the
-    result bit for bit.  The writer picks one of two summations, once:
+    result bit for bit.  The set takes one of two summations:
 
-    * Exact (both images integer-valued and (2*rho+1)^2 * 255 < 2^24, i.e.
-      rho <= 127): every block sum is an integer below 2^24, which float32
-      holds exactly, so integer arithmetic in any order gives the
-      row-major bits.  The padded images are converted once to int16
-      (rho <= 7, sums up to 57,375 < 2^16) or int32; each slice's
-      differences and their absolute values are taken in that type and
-      summed in its unsigned twin (uint16 or uint32) separably, along rows
-      and then down columns, each window by doubling (_box_sums):
-      floor(log2(2*rho+1)) + popcount(2*rho+1) - 1 adds per axis, 3 at
-      rho 2 and 6 at rho 7.  The final copy into a float32 or uint32 slice
-      is exact, and the writer's dtype is uint32.
-    * Otherwise (a non-integer intensity in either image, or rho >= 128):
-      the (2*rho+1)^2 windows are added in float32 in row-major order, the
-      one order whose rounding matches.
+    * Exact, when every image of the set is integer-valued and
+      (2*rho+1)^2 * 255 < 2^24 (rho <= 127): every block sum is an integer
+      below 2^24, which float32 holds exactly, so integer arithmetic in any
+      order gives the row-major bits.  The padded images are converted to
+      int16 (rho <= 7, sums up to 57,375 < 2^16) or int32, the differences
+      and their absolute values are taken in that type, and the blocks are
+      summed in its unsigned twin, along rows and then down columns, each
+      window by doubling (_box_sums): 3 adds per axis at rho 2.  The costs
+      are integers, and their dtype is uint32.
+    * Otherwise the (2*rho+1)^2 windows are added in float32 in row-major
+      order, the one order whose rounding matches; the first add takes the
+      first two windows, since 0 + x = x on costs >= +0.  Their dtype is
+      float32.
+
+    A set comes from one camera and holds one kind of image; one that mixes
+    integer-valued and fractional images sums every view row-major.
     """
-    return _sad_writer(_Scratch(ref, p), target, direction)
-
-
-def _sad_writer(work: _Scratch, target: Image, direction: Direction) -> SliceWriter:
-    """sad_slices' writer for one view over the set's shared scratch."""
-    p = work.p
-    _check_pair(work.center, target)
-    height, width = target.pixels.shape
     r = p.rho
+    height, width = center.pixels.shape
     pw = width + 2 * r
-    plane = (height + 2 * r, pw)
-    step_x, step_y = direction.offset(1)
-    reach = min(p.d_max, width if step_x else height)
-    b_pad = np.pad(target.pixels, r, mode="edge")
-    exact = _integer_pads(work, b_pad)
+    pads = [np.pad(img.pixels, r, mode="edge") for img in [center] + [img for _, img in views]]
+    bound = (2 * r + 1) ** 2 * 255
+    signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
+    ints = [pad.astype(signed) for pad in pads] if bound < 2**24 else []
+    exact = bool(ints) and all(map(np.array_equal, ints, pads))
     if exact:
-        a_pad, b_pad, sum_type = exact
-    else:
-        a_pad = work.center_pads[0]
-    # room for every shift at both ends, read only for cells not kept
-    slack = reach * (abs(step_x) + abs(step_y) * pw)
-    b_run = np.zeros(2 * slack + b_pad.size, dtype=b_pad.dtype)
-    b_run[slack : slack + b_pad.size] = b_pad.ravel()
-    a_run = a_pad.ravel()
-    diff = work.buffer("diff", plane, a_pad.dtype)
-    diff_run = diff.ravel()
+        pads = ints
     # Cell (v, u) of a padded plane sits at v*pw + u of its flat run, so a
     # shift by (dy, dx) is the run started dy*pw + dx later.  A run's
     # padding columns (u >= width) are summed too and never read.
+    a_run = pads[0].ravel()
+    diff = np.empty_like(a_run)
     if exact:
-        flat = diff.view(sum_type).ravel()
-        bufs = [work.buffer(name, flat.size, sum_type) for name in ("rows", "doubling")]
+        flat = diff.view(unsigned)
+        bufs = [np.empty_like(flat) for _ in range(2)]
         # rows: every cell the column pass reads; columns: every cell kept
         row_adds, row_sums = _box_sums(flat, bufs, 2 * r + 1, 1, (height + 2 * r - 1) * pw + width)
         free = [b for b in [flat] + bufs if b is not row_sums]
-        col_adds, col_sums = _box_sums(row_sums, free, 2 * r + 1, pw, (height - 1) * pw + width)
+        col_adds, sums = _box_sums(row_sums, free, 2 * r + 1, pw, (height - 1) * pw + width)
         adds = row_adds + col_adds
-        sums = col_sums.reshape(plane)[:height, :width]
-
-        def block_sum() -> None:
-            for a, b, out in adds:
-                np.add(a, b, out=out)
-
     else:
-        flat = diff_run
-        acc = work.buffer("rows", height * pw, np.float32)
-        run = acc[: height * pw - 2 * r]
-        sums = acc.reshape(height, pw)[:, :width]
+        n = height * pw - 2 * r
+        run = np.empty(height * pw, dtype=np.float32)
+        adds, sums = [], diff
+        for start in [dy * pw + dx for dy in range(2 * r + 1) for dx in range(2 * r + 1)][1:]:
+            adds.append((sums[:n], diff[start : start + n], run[:n]))
+            sums = run
+    kept = sums[: height * pw].reshape(height, pw)[:, :width]
 
-        def block_sum() -> None:
-            acc.fill(0.0)
-            for dy in range(2 * r + 1):
-                for dx in range(2 * r + 1):
-                    start = dy * pw + dx
-                    np.add(run, flat[start : start + run.size], out=run)
+    def writer(direction: Direction, b_pad: np.ndarray) -> SliceWriter:
+        step_x, step_y = direction.offset(1)
+        reach = min(p.d_max, width if step_x else height)
+        # room for every shift at both ends, read only for cells not kept
+        slack = reach * (abs(step_x) + abs(step_y) * pw)
+        b_run = np.zeros(2 * slack + b_pad.size, dtype=b_pad.dtype)
+        b_run[slack : slack + b_pad.size] = b_pad.ravel()
 
-    def write(k: int, out: np.ndarray) -> None:
-        ox, oy = direction.offset(p.d_min + k)
-        rows, cols = _inbounds_window(height, width, ox, oy)
-        _fill_outside(out, rows, cols)
-        if rows.start >= rows.stop or cols.start >= cols.stop:
-            return
-        start = slack + oy * pw + ox
-        np.subtract(a_run, b_run[start : start + a_run.size], out=diff_run)
-        np.abs(diff, out=diff)
-        block_sum()
-        out[rows, cols] = sums[rows, cols]
+        def write(k: int, out: np.ndarray) -> None:
+            ox, oy = direction.offset(p.d_min + k)
+            rows, cols = _inbounds_window(height, width, ox, oy)
+            _fill_outside(out, rows, cols)
+            if rows.start >= rows.stop or cols.start >= cols.stop:
+                return
+            start = slack + oy * pw + ox
+            np.subtract(a_run, b_run[start : start + a_run.size], out=diff)
+            np.abs(diff, out=diff)
+            for a, b, total in adds:
+                np.add(a, b, out=total)
+            out[rows, cols] = kept[rows, cols]
 
-    write.dtype = np.uint32 if exact else np.float32
-    return write
+        return write
+
+    writers = [writer(direction, pad) for (direction, _), pad in zip(views, pads[1:])]
+    return writers, np.uint32 if exact else np.float32
 
 
 def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
     """Sampling-insensitive pixel dissimilarity against the target image,
-    one disparity slice per call of the returned writer.
+    one disparity slice per call of the returned writer: the writer of a
+    one-view set (_bt_writers).
 
     Around each target sample q the half-sample candidates 0.5*(I(q)+I(q+s))
     for s in BT_NEIGHBORHOOD span an interval [I_min, I_max] (offsets clamp
     at borders); the cost is max{0, ref - I_max, I_min - ref}, zero whenever
     the reference intensity lies inside the interval.  One-sided: only the
     target is interpolated.  The block radius is not used.
+    """
+    _check_pair(ref, target)
+    return _bt_writers(ref, [(direction, target)], p)[0][0]
 
-    The neighbour samples are slices of one copy of the target edge-padded
+
+def _bt_writers(
+    center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
+) -> Writers:
+    """BT's writers for the views of one set, over one converted center and
+    one gap plane; their dtype is float32.
+
+    The neighbour samples are slices of one copy of each target edge-padded
     by 1.  Each disparity's cost is computed only on its in-bounds window
     (the cells it keeps), where the shifted interval planes are plain slices
     of lo and hi: no shift there clamps, so no padding is needed.
     """
-    return _bt_writer(_Scratch(ref, p), target, direction)
-
-
-def _bt_writer(work: _Scratch, target: Image, direction: Direction) -> SliceWriter:
-    """bt_slices' writer for one view over the set's shared scratch."""
-    p = work.p
-    _check_pair(work.center, target)
     # adding +0.0 turns a -0.0 pixel into +0.0, so that no difference below
     # is -0.0 and no cost either
-    a = work.center.pixels + np.float32(0.0)
-    b = target.pixels + np.float32(0.0)
+    a = center.pixels + np.float32(0.0)
     height, width = a.shape
-
-    b_pad = np.pad(b, 1, mode="edge")
-    cand = np.empty((len(BT_NEIGHBORHOOD), height, width), dtype=np.float32)
-    for i, (sx, sy) in enumerate(BT_NEIGHBORHOOD):
-        shifted = b_pad[1 + sy : 1 + sy + height, 1 + sx : 1 + sx + width]
-        cand[i] = np.float32(0.5) * (b + shifted)
-    lo = cand.min(axis=0)
-    hi = cand.max(axis=0)
     zero = np.float32(0.0)
-    below = work.buffer("below", a.shape, np.float32)  # for I_min - ref
+    below = np.empty_like(a)  # for I_min - ref
 
-    def write(k: int, out: np.ndarray) -> None:
-        ox, oy = direction.offset(p.d_min + k)
-        rows, cols = _inbounds_window(height, width, ox, oy)
-        _fill_outside(out, rows, cols)
-        if rows.start >= rows.stop or cols.start >= cols.stop:
-            return
-        moved = (slice(rows.start + oy, rows.stop + oy), slice(cols.start + ox, cols.stop + ox))
-        a_w = a[rows, cols]
-        dst = out[rows, cols]
-        lo_gap = below[: rows.stop - rows.start, : cols.stop - cols.start]
-        np.subtract(a_w, hi[moved], out=dst)
-        np.subtract(lo[moved], a_w, out=lo_gap)
-        np.maximum(dst, lo_gap, out=dst)
-        np.maximum(zero, dst, out=dst)
+    def writer(direction: Direction, target: Image) -> SliceWriter:
+        b = target.pixels + np.float32(0.0)
+        b_pad = np.pad(b, 1, mode="edge")
+        cand = np.empty((len(BT_NEIGHBORHOOD), height, width), dtype=np.float32)
+        for i, (sx, sy) in enumerate(BT_NEIGHBORHOOD):
+            shifted = b_pad[1 + sy : 1 + sy + height, 1 + sx : 1 + sx + width]
+            cand[i] = np.float32(0.5) * (b + shifted)
+        lo = cand.min(axis=0)
+        hi = cand.max(axis=0)
 
-    write.dtype = np.float32
-    return write
+        def write(k: int, out: np.ndarray) -> None:
+            ox, oy = direction.offset(p.d_min + k)
+            rows, cols = _inbounds_window(height, width, ox, oy)
+            _fill_outside(out, rows, cols)
+            if rows.start >= rows.stop or cols.start >= cols.stop:
+                return
+            moved = (slice(rows.start + oy, rows.stop + oy), slice(cols.start + ox, cols.stop + ox))
+            a_w = a[rows, cols]
+            dst = out[rows, cols]
+            lo_gap = below[: rows.stop - rows.start, : cols.stop - cols.start]
+            np.subtract(a_w, hi[moved], out=dst)
+            np.subtract(lo[moved], a_w, out=lo_gap)
+            np.maximum(dst, lo_gap, out=dst)
+            np.maximum(zero, dst, out=dst)
+
+        return write
+
+    return [writer(direction, img) for direction, img in views], np.float32
 
 
-_MATCHERS = {"sad": _sad_writer, "bt": _bt_writer}
+_MATCHERS = {"sad": _sad_writers, "bt": _bt_writers}
 
 
 def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
@@ -435,12 +384,11 @@ def bt_cost_volume(
     return _volume(bt_slices(ref, target, direction, p), ref.pixels.shape, p)
 
 
-def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> list[SliceWriter]:
-    """The n views' writers, in set order, over one scratch they share."""
+def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers:
+    """The matcher's writers for the n views of the set."""
     if matcher not in _MATCHERS:
         raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
-    work = _Scratch(mset.center, p)
-    return [_MATCHERS[matcher](work, img, direction) for direction, img in mset.surround]
+    return _MATCHERS[matcher](mset.center, mset.surround, p)
 
 
 def multiscopic_volumes(
@@ -448,7 +396,7 @@ def multiscopic_volumes(
 ) -> list[CostVolume]:
     """One cost volume per surrounding view, in set order."""
     shape = mset.center.pixels.shape
-    return [_volume(write, shape, p) for write in _writers(mset, matcher, p)]
+    return [_volume(write, shape, p) for write in _writers(mset, matcher, p)[0]]
 
 
 def multiscopic_slices(
@@ -457,12 +405,12 @@ def multiscopic_slices(
     """Per disparity, in order, the list of the n views' cost slices in set
     order: the slices of multiscopic_volumes without ever holding a volume.
 
-    The slices, uint32 when every writer's dtype is, else float32, are
-    scratch, refilled for the next disparity; a consumer is done with them
-    (and may overwrite them) before it asks for the next list.
+    The slices, in the set's cost dtype (uint32 on SAD's exact path, else
+    float32), are scratch, refilled for the next disparity; a consumer is
+    done with them (and may overwrite them) before it asks for the next
+    list.
     """
-    writers = _writers(mset, matcher, p)
-    dtype = np.uint32 if all(w.dtype == np.uint32 for w in writers) else np.float32
+    writers, dtype = _writers(mset, matcher, p)
     rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=dtype))
 
     def stream():

@@ -75,6 +75,8 @@ class GcParams:
             raise InputError(f"upscale must be 1, 2 or 4, got {self.upscale}")
         if self.max_sweeps < 1:
             raise InputError("max_sweeps must be >= 1")
+        if self.rng_seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def pair_weights(center: Image, p: GcParams) -> tuple[np.ndarray, np.ndarray]:

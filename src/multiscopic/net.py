@@ -49,6 +49,7 @@ LAYER_SPECS = (
     ("head", 8, 1, 1, False),
 )
 KERNEL = 3
+_STRIDES = {name: stride for name, _, _, stride, _ in LAYER_SPECS}
 
 _MAGIC = b"MFN1"
 _VERSION = 2
@@ -58,25 +59,22 @@ _TAG_CONV3D = 0
 class Conv3d:
     """Parameter container for one convolution layer; b is None without a bias."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray | None, stride: int):
+    def __init__(self, w: np.ndarray, b: np.ndarray | None):
         self.w = w
         self.b = b
-        self.stride = stride
 
 
 class FusionNet:
     """The full network: one Conv3d per LAYER_SPECS entry, under its name."""
 
     def __init__(self, convs: dict[str, Conv3d]):
-        for name, c_in, c_out, stride, bias in LAYER_SPECS:
+        for name, c_in, c_out, _, bias in LAYER_SPECS:
             if name not in convs:
                 raise InputError(f"missing layer {name!r}")
             conv = convs[name]
             shapes = (conv.w.shape, None if conv.b is None else conv.b.shape)
             if shapes != ((c_out, c_in, KERNEL, KERNEL, KERNEL), (c_out,) if bias else None):
                 raise InputError(f"layer {name!r} has wrong parameter shapes")
-            if conv.stride != stride:
-                raise InputError(f"layer {name!r} stride {conv.stride} != {stride}")
         self.convs = convs
 
     @property
@@ -101,7 +99,7 @@ def init_network(seed: int, dtype=np.float32) -> FusionNet:
     the first forward pass outputs the uniform disparity prior."""
     rng = np.random.default_rng(seed)
     convs = {}
-    for name, c_in, c_out, stride, bias in LAYER_SPECS:
+    for name, c_in, c_out, _, bias in LAYER_SPECS:
         shape = (c_out, c_in, KERNEL, KERNEL, KERNEL)
         if name == "head":
             w = np.zeros(shape, dtype=dtype)
@@ -109,7 +107,7 @@ def init_network(seed: int, dtype=np.float32) -> FusionNet:
             std = np.sqrt(2.0 / (c_in * KERNEL**3))
             w = (rng.standard_normal(shape) * std).astype(dtype)
         b = np.zeros(c_out, dtype=dtype) if bias else None
-        convs[name] = Conv3d(w, b, stride)
+        convs[name] = Conv3d(w, b)
     return FusionNet(convs)
 
 
@@ -130,34 +128,37 @@ def normalize_volume(vol: CostVolume) -> np.ndarray:
 def _forward_cached(net: FusionNet, volumes: list[CostVolume]):
     check_volumes(volumes, "forward")
     dtype = net.dtype
-    cv = net.convs
     n = len(volumes)
+
+    def conv(name: str, x: np.ndarray):
+        c = net.convs[name]
+        return layers.conv3d_forward(x, c.w, c.b, stride=_STRIDES[name])
 
     stem_caches = []
     feat = None
     for vol in volumes:
         x = normalize_volume(vol).astype(dtype)[None]
-        o1, c1 = layers.conv3d_forward(x, cv["stem1"].w, cv["stem1"].b)
+        o1, c1 = conv("stem1", x)
         r1, m1 = layers.relu_forward(o1)
-        o2, c2 = layers.conv3d_forward(r1, cv["stem2"].w, cv["stem2"].b)
+        o2, c2 = conv("stem2", r1)
         r2, m2 = layers.relu_forward(o2)
         stem_caches.append((c1, m1, c2, m2))
         feat = r2 if feat is None else feat + r2
     feat = feat / dtype.type(n) if n > 1 else feat
 
-    oe, ce = layers.conv3d_forward(feat, cv["enc1"].w, cv["enc1"].b)
+    oe, ce = conv("enc1", feat)
     e1, me = layers.relu_forward(oe)
-    od, cd = layers.conv3d_forward(e1, cv["down"].w, cv["down"].b, stride=2)
+    od, cd = conv("down", e1)
     d0, md = layers.relu_forward(od)
-    om, cm = layers.conv3d_forward(d0, cv["mid"].w, cv["mid"].b)
+    om, cm = conv("mid", d0)
     m0, mm = layers.relu_forward(om)
     u0, cu0 = layers.upsample_nearest_forward(m0, e1.shape[1:])
-    ou, cu = layers.conv3d_forward(u0, cv["up"].w, cv["up"].b)
+    ou, cu = conv("up", u0)
     u1, mu = layers.relu_forward(ou)
     cat, ccat = layers.concat_forward([u1, e1])
-    oc, cdec = layers.conv3d_forward(cat, cv["dec"].w, cv["dec"].b)
+    oc, cdec = conv("dec", cat)
     dc, mdec = layers.relu_forward(oc)
-    scores4, chead = layers.conv3d_forward(dc, cv["head"].w, cv["head"].b)
+    scores4, chead = conv("head", dc)
     scores = scores4[0]
 
     prob, psm = layers.softmax_neg_forward(scores)
@@ -317,6 +318,8 @@ class TrainConfig:
             )
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
+        if self.rng_seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 _ADAM_B1 = 0.9
@@ -459,9 +462,9 @@ def load_net(path) -> FusionNet:
         return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
 
     convs = {}
-    for name, c_in, c_out, stride, bias in LAYER_SPECS:
+    for name, c_in, c_out, _, bias in LAYER_SPECS:
         w = floats(c_out, c_in, KERNEL, KERNEL, KERNEL)
-        convs[name] = Conv3d(w, floats(c_out) if bias else None, stride)
+        convs[name] = Conv3d(w, floats(c_out) if bias else None)
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
     model = FusionNet(convs)

@@ -240,6 +240,8 @@ def generate_dataset(
     """
     if n < 1:
         raise InputError("dataset size must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = []

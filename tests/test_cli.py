@@ -610,6 +610,24 @@ def test_gc_rejects_bad_energy_weight(tmp_path, capsys, flags, what):
     assert not (out / "disp.pfm").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "gc", "train"])
+def test_negative_seed_is_rejected(tmp_path, capsys, command):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--scenes", "1", "--width", "16", "--height", "16"],
+        "gc": ["gc", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+               "--upscale", "1"],
+        "train": ["train", "--data", str(data), "--rho", "1", "--d-max", "3"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    _assert_plain_error(capsys, "seed must be >= 0, got -1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("factor", ["inf", "-inf", "nan", "0"])
 def test_bad_heuristic_factor_rejected(tmp_path, capsys, factor):
     data = _synth(tmp_path)

@@ -157,8 +157,9 @@ def test_sad_doubling_sums_match_the_oracle(rho):
     rng = np.random.default_rng(300 + rho)
     for direction, (h, w) in zip(DIRS, [(9, 11), (11, 9), (2 * rho + 3, 5), (4, 2 * rho + 6)]):
         ref, tgt = _full_range_int_pair(rng, h, w)
-        write = costvol.sad_slices(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=2))
-        assert write.dtype == np.uint32  # the exact path, which sums by doubling
+        rows = next(multiscopic_slices(MultiscopicSet(ref, [(direction, tgt)]), "sad",
+                                       BlockMatchParams(rho=rho, d_min=0, d_max=2)))
+        assert rows[0].dtype == np.uint32  # the exact path, which sums by doubling
         got = sad_cost_volume(ref, tgt, direction, BlockMatchParams(rho=rho, d_min=0, d_max=2))
         want = sad_oracle(ref.pixels, tgt.pixels, direction.value, rho, 0, 2)
         assert got.costs.tobytes() == want.tobytes(), (direction, h, w)
@@ -341,7 +342,7 @@ def test_multiscopic_volumes_bt_path():
 @pytest.mark.parametrize("direction", DIRS)
 @pytest.mark.parametrize("matcher, exact", [("sad", True), ("sad", False), ("bt", None)],
                          ids=["sad-integer", "sad-float", "bt"])
-def test_matchers_write_contract_costs_on_signed_zero_pixels(monkeypatch, direction, matcher, exact):
+def test_matchers_write_contract_costs_on_signed_zero_pixels(direction, matcher, exact):
     # images holding -0.0 and +0.0 pixels, and halves where SAD is to take
     # its float32 summation: every cost written is in [+0.0, +inf]
     rng = np.random.default_rng(41)
@@ -351,20 +352,13 @@ def test_matchers_write_contract_costs_on_signed_zero_pixels(monkeypatch, direct
     pixels[(pixels == 0) & (rng.random(pixels.shape) < 0.5)] = -0.0
     ref, target = Image(pixels[0]), Image(pixels[1])
     assert np.signbit(ref.pixels).any() and np.signbit(target.pixels).any()
-    summations = []  # whether SAD took its integer summation
-    pads = costvol._integer_pads
-
-    def spy(*args):
-        summations.append(pads(*args) is not None)
-        return pads(*args)
-
-    monkeypatch.setattr(costvol, "_integer_pads", spy)
+    p = BlockMatchParams(rho=1, d_min=0, d_max=13)
     slices = {"sad": costvol.sad_slices, "bt": costvol.bt_slices}[matcher]
-    write = slices(ref, target, direction, BlockMatchParams(rho=1, d_min=0, d_max=13))
-    assert summations == ([] if exact is None else [exact])
-    # the writer's dtype names the path it took; an exact writer's uint32
-    # slices hold its float32 slices' values
-    assert write.dtype == (np.uint32 if exact else np.float32)
+    write = slices(ref, target, direction, p)
+    # the row dtype of the one-view set names the path SAD took; an exact
+    # writer's uint32 slices hold its float32 slices' values
+    rows = next(multiscopic_slices(MultiscopicSet(ref, [(direction, target)]), matcher, p))
+    assert rows[0].dtype == (np.uint32 if exact else np.float32)
     out = np.empty(ref.pixels.shape, dtype=np.float32)
     ints = np.empty(ref.pixels.shape, dtype=np.uint32)
     for k in range(14):
@@ -397,13 +391,15 @@ def test_multiscopic_slices_are_uint32_when_every_sad_writer_is_exact(tmp_path):
         assert [row.dtype for row in rows] == [np.float32] * len(views.surround)
 
 
-@pytest.mark.parametrize("rho", [7, 8])  # int16 and int32 images on the exact path
+# int16 images (rho 2 and 7) and int32 images (rho 8) on each integer
+# view's own exact path
+@pytest.mark.parametrize("rho", [2, 7, 8])
 @pytest.mark.parametrize("fractional_first", [False, True])
 def test_shared_scratch_keeps_each_views_costs(rho, fractional_first):
     # one set of integer views and one fractional-luma view, whose writers
-    # share one scratch: the exact writers' integer buffers and the
-    # fractional one's float32 buffers, in either order of first use, give
-    # each view the bytes of its own sad_cost_volume
+    # share one set of buffers: the set sums row-major in float32, and each
+    # view, the fractional one first or not, streams the bytes of its own
+    # sad_cost_volume, which sums the integer views exactly
     rng = np.random.default_rng(60 + rho)
     center = _int_image(rng, 13, 17)
     fractional = Image(rng.integers(0, 256, size=(13, 17)).astype(np.float32) * np.float32(0.587))

@@ -232,7 +232,7 @@ def test_param_count_within_budget():
 @pytest.mark.parametrize("layer, bias", [("head", np.zeros(1)), ("mid", None)])
 def test_fusion_net_takes_a_bias_exactly_where_the_spec_has_one(layer, bias):
     convs = dict(init_network(0).convs)
-    convs[layer] = Conv3d(convs[layer].w, bias, convs[layer].stride)
+    convs[layer] = Conv3d(convs[layer].w, bias)
     with pytest.raises(InputError, match=f"layer '{layer}' has wrong parameter shapes"):
         FusionNet(convs)
 
