@@ -23,16 +23,7 @@ from pathlib import Path
 
 from . import costvol, fusion, graphcut, metrics, net, synthscene
 from .errors import MultiscopicError, InputError
-from .imagery import (
-    ColorImage,
-    DisparityMap,
-    Image,
-    MultiscopicSet,
-    colorize_jet,
-    read_image,
-    to_grayscale,
-    write_image,
-)
+from .imagery import DisparityMap, colorize_jet, read_image, write_image
 from .synthscene import VIEW_ORDER, load_scene, load_views
 
 
@@ -140,37 +131,17 @@ def _write_run_manifest(outdir: Path, command: str, args):
     (outdir / "run.txt").write_text("\n".join(lines) + "\n")
 
 
-def _load_gray(path: str) -> Image:
-    img = read_image(path)
-    if isinstance(img, ColorImage):
-        return to_grayscale(img)
-    if not isinstance(img, Image):
-        raise InputError(f"{path}: not an intensity image")
-    return img
-
-
 def _input_set(args):
     """Scene directory (--in), of which only the images are read, or
-    explicit per-view image paths."""
+    explicit per-view image paths: one synthscene.read_views either way."""
     if args.scene_dir:
         return load_views(args.scene_dir)
     if not args.center:
         raise InputError("need --in SCENE_DIR or --center plus view images")
-    surround = []
-    for direction in VIEW_ORDER:
-        path = getattr(args, direction.value)
-        if path:
-            surround.append((direction, path, _load_gray(path)))
-    if not surround:
+    views = [(d, getattr(args, d.value)) for d in VIEW_ORDER if getattr(args, d.value)]
+    if not views:
         raise InputError("need at least one of --left/--right/--top/--bottom")
-    center = _load_gray(args.center)
-    for _, path, img in surround:
-        if img.pixels.shape != center.pixels.shape:
-            raise InputError(
-                f"{path}: shape {img.pixels.shape} differs from {args.center}'s "
-                f"{center.pixels.shape}"
-            )
-    return MultiscopicSet(center, [(direction, img) for direction, _, img in surround])
+    return synthscene.read_views(args.center, views)
 
 
 def _add_inputs(p: _Parser):

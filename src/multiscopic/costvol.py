@@ -14,7 +14,8 @@ costs have equal bits and the uint32 order of the bits is the float order.
 
 Each SAD cost equals the float32 sum of its block's absolute differences
 added in row-major order.  The matchers are set up once per view set
-(multiscopic_slices, multiscopic_volumes), and SAD picks its summation
+(multiscopic_slices, multiscopic_volumes); sad_cost_volume and
+bt_cost_volume are the volumes of a one-view set.  SAD picks its summation
 once for the set: when every image is integer-valued (every PGM input)
 and (2*rho+1)^2 * 255 < 2^24, every block sum is an integer that float32
 holds exactly, so blocks are summed in integers, separably, rows then
@@ -27,6 +28,7 @@ dtype, uint32 on the exact path, whose costs are integers.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,11 +136,13 @@ def check_volumes(volumes: list[CostVolume], caller: str, names: list | None = N
             )
 
 
-def _check_pair(ref: Image, target: Image):
-    if ref.pixels.shape != target.pixels.shape:
-        raise InputError(
-            f"image sizes differ: {ref.pixels.shape} vs {target.pixels.shape}"
-        )
+def _check_size(what: str, shape: tuple[int, ...], dtype) -> None:
+    """Raise InputError naming what where NumPy would refuse an array of
+    shape and dtype as larger than any array, np.iinfo(np.intp).max bytes;
+    a smaller one that does not fit in memory still raises MemoryError."""
+    limit = np.iinfo(np.intp).max
+    if math.prod(shape) * np.dtype(dtype).itemsize > limit:
+        raise InputError(f"{what}, {shape} {np.dtype(dtype)}, exceeds NumPy's {limit}-byte limit")
 
 
 def _inbounds_window(height: int, width: int, ox: int, oy: int) -> tuple[slice, slice]:
@@ -192,14 +196,6 @@ def _box_sums(src: np.ndarray, bufs: list[np.ndarray], length: int, step: int, n
     return adds, cur
 
 
-def sad_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
-    """Sum of absolute differences over a (2*rho+1)^2 block, one disparity
-    slice per call of the returned writer: the writer of a one-view set
-    (_sad_writers)."""
-    _check_pair(ref, target)
-    return _sad_writers(ref, [(direction, target)], p)[0][0]
-
-
 def _sad_writers(
     center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
 ) -> Writers:
@@ -240,6 +236,7 @@ def _sad_writers(
     r = p.rho
     height, width = center.pixels.shape
     pw = width + 2 * r
+    _check_size(f"rho {r}: the image padded by rho", (height + 2 * r, pw), center.pixels.dtype)
     pads = [np.pad(img.pixels, r, mode="edge") for img in [center] + [img for _, img in views]]
     bound = (2 * r + 1) ** 2 * 255
     signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
@@ -296,26 +293,19 @@ def _sad_writers(
     return writers, np.uint32 if exact else np.float32
 
 
-def bt_slices(ref: Image, target: Image, direction: Direction, p: BlockMatchParams) -> SliceWriter:
-    """Sampling-insensitive pixel dissimilarity against the target image,
-    one disparity slice per call of the returned writer: the writer of a
-    one-view set (_bt_writers).
-
-    Around each target sample q the half-sample candidates 0.5*(I(q)+I(q+s))
-    for s in BT_NEIGHBORHOOD span an interval [I_min, I_max] (offsets clamp
-    at borders); the cost is max{0, ref - I_max, I_min - ref}, zero whenever
-    the reference intensity lies inside the interval.  One-sided: only the
-    target is interpolated.  The block radius is not used.
-    """
-    _check_pair(ref, target)
-    return _bt_writers(ref, [(direction, target)], p)[0][0]
-
-
 def _bt_writers(
     center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
 ) -> Writers:
     """BT's writers for the views of one set, over one converted center and
     one gap plane; their dtype is float32.
+
+    BT is the sampling-insensitive pixel dissimilarity against the target
+    image.  Around each target sample q the half-sample candidates
+    0.5*(I(q)+I(q+s)) for s in BT_NEIGHBORHOOD span an interval
+    [I_min, I_max] (offsets clamp at borders); the cost is
+    max{0, ref - I_max, I_min - ref}, zero whenever the reference intensity
+    lies inside the interval.  One-sided: only the target is interpolated.
+    The block radius is not used.
 
     The neighbour samples are slices of one copy of each target edge-padded
     by 1.  Each disparity's cost is computed only on its in-bounds window
@@ -364,24 +354,12 @@ _MATCHERS = {"sad": _sad_writers, "bt": _bt_writers}
 
 def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
     """All of a writer's slices, written into one preallocated volume."""
-    out = np.empty((p.num_disparities,) + shape, dtype=np.float32)
+    shape = (p.num_disparities,) + shape
+    _check_size(f"d_max {p.d_max}: the cost volume", shape, np.float32)
+    out = np.empty(shape, dtype=np.float32)
     for k in range(p.num_disparities):
         write(k, out[k])
     return CostVolume(out, p.d_min, p.d_max)
-
-
-def sad_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """The SAD volume of sad_slices."""
-    return _volume(sad_slices(ref, target, direction, p), ref.pixels.shape, p)
-
-
-def bt_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """The BT volume of bt_slices."""
-    return _volume(bt_slices(ref, target, direction, p), ref.pixels.shape, p)
 
 
 def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers:
@@ -389,6 +367,27 @@ def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers
     if matcher not in _MATCHERS:
         raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
     return _MATCHERS[matcher](mset.center, mset.surround, p)
+
+
+def _one_view_volume(
+    matcher: str, ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    mset = MultiscopicSet(ref, [(direction, target)])
+    return _volume(_writers(mset, matcher, p)[0][0], ref.pixels.shape, p)
+
+
+def sad_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The SAD volume of the one-view set."""
+    return _one_view_volume("sad", ref, target, direction, p)
+
+
+def bt_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The BT volume of the one-view set."""
+    return _one_view_volume("bt", ref, target, direction, p)
 
 
 def multiscopic_volumes(

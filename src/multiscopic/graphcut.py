@@ -69,8 +69,8 @@ class GcParams:
             raise InputError("need lambda1 >= lambda2 >= 0")
         if not self.theta > 0:
             raise InputError("theta must be positive")
-        if self.d_cutoff < 1:
-            raise InputError("d_cutoff must be >= 1")
+        if not 1 <= self.d_cutoff <= np.iinfo(np.int64).max:
+            raise InputError(f"d_cutoff must be in [1, 2^63 - 1], got {self.d_cutoff}")
         if self.upscale not in (1, 2, 4):
             raise InputError(f"upscale must be 1, 2 or 4, got {self.upscale}")
         if self.max_sweeps < 1:

@@ -7,6 +7,9 @@ rendering.  Textures extend beyond the frame by the maximum disparity so
 shifted layers never run out of content.  Ground truth is geometric (the
 front-most layer per center pixel) and stays valid even where a pixel is
 hidden in every surrounding view.
+
+read_views is the one reader of a view set, whether its files are a scene
+directory's (load_views) or named one by one (the CLI's --center/--left/...).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError, SpecError
-from .imagery import Direction, DisparityMap, Image, MultiscopicSet, read_image, write_image
+from .imagery import (ColorImage, Direction, DisparityMap, Image, MultiscopicSet, read_image,
+                      to_grayscale, write_image)
 
 VIEW_ORDER = (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)
 OCTAVES = 3  # value-noise octaves per layer texture
@@ -265,35 +269,49 @@ def generate_dataset(
     return manifest
 
 
-def _read_as(path: Path, kind: type, what: str, shape: Optional[tuple[int, int]] = None):
+def _read_as(path, kind: type, what: str, center: Optional[tuple] = None):
+    """read_image(path) as a kind, a PPM read as an Image being its luma;
+    with center = (its path, its image), of that image's shape."""
     img = read_image(path)
+    if kind is Image and isinstance(img, ColorImage):
+        img = to_grayscale(img)
     if not isinstance(img, kind):
         raise InputError(f"{path}: expected a {what}")
-    if shape not in (None, (img.height, img.width)):
-        raise InputError(f"{path}: shape {img.height, img.width} differs from center.pgm's {shape}")
+    if center is not None:
+        center_path, c = center
+        if (img.height, img.width) != (c.height, c.width):
+            raise InputError(
+                f"{path}: shape {img.height, img.width} differs from {center_path}'s "
+                f"{c.height, c.width}"
+            )
     return img
 
 
-def load_views(scene_dir: Union[str, Path]) -> MultiscopicSet:
-    """Read a scene directory's images, and nothing else, into a set.
+def read_views(
+    center_path: Union[str, Path], views: list[tuple[Direction, Union[str, Path]]]
+) -> MultiscopicSet:
+    """The set of a center image and its (direction, path) views, each read
+    as grayscale (a PGM, or a PPM's luma) and of the center's shape."""
+    center = _read_as(center_path, Image, "grayscale image")
+    return MultiscopicSet(center, [
+        (direction, _read_as(path, Image, "grayscale image", (center_path, center)))
+        for direction, path in views
+    ])
 
-    Requires center.pgm and at least one directional view, each of
-    center.pgm's shape.
-    """
+
+def load_views(scene_dir: Union[str, Path]) -> MultiscopicSet:
+    """Read a scene directory's images, and nothing else, into a set:
+    read_views on center.pgm and the directional views present, of which
+    there must be at least one."""
     scene_dir = Path(scene_dir)
     center_path = scene_dir / "center.pgm"
     if not center_path.exists():
         raise InputError(f"{scene_dir}: no center.pgm")
-    center = _read_as(center_path, Image, "grayscale image")
-    shape = (center.height, center.width)
-    surround = []
-    for direction in VIEW_ORDER:
-        path = scene_dir / f"{direction.value}.pgm"
-        if path.exists():
-            surround.append((direction, _read_as(path, Image, "grayscale image", shape)))
-    if not surround:
+    views = [(direction, scene_dir / f"{direction.value}.pgm") for direction in VIEW_ORDER]
+    views = [(direction, path) for direction, path in views if path.exists()]
+    if not views:
         raise InputError(f"{scene_dir}: no directional views found")
-    return MultiscopicSet(center, surround)
+    return read_views(center_path, views)
 
 
 def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[DisparityMap]]:
@@ -301,8 +319,10 @@ def load_scene(scene_dir: Union[str, Path]) -> tuple[MultiscopicSet, Optional[Di
     gt.pfm, which is optional (None when absent) so user-supplied rectified
     sets load too, and must have center.pgm's shape.
     """
+    scene_dir = Path(scene_dir)
     mset = load_views(scene_dir)
-    gt_path = Path(scene_dir) / "gt.pfm"
+    gt_path = scene_dir / "gt.pfm"
     if not gt_path.exists():
         return mset, None
-    return mset, _read_as(gt_path, DisparityMap, "disparity map", (mset.height, mset.width))
+    center = (scene_dir / "center.pgm", mset.center)
+    return mset, _read_as(gt_path, DisparityMap, "disparity map", center)

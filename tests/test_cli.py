@@ -511,7 +511,8 @@ def test_scene_file_of_another_shape_is_named(tmp_path, capsys, command, name):
                 "disparity": ["--in", str(data / "scene_0000"), "--out", str(out)]}[command]
     assert run([command, *io_flags, "--rho", "1", "--d-max", "3"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: shape (5, 7) differs from center.pgm's (12, 16)\n"
+    center = data / "scene_0000" / "center.pgm"
+    assert err == f"error: {path}: shape (5, 7) differs from {center}'s (12, 16)\n"
     assert not out.exists()
 
 
@@ -554,6 +555,69 @@ def test_view_file_of_another_shape_is_named(tmp_path, capsys, command):
                 "--rho", "1", "--d-max", "3", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {right}: shape (5, 7) differs from {center}'s (20, 24)\n"
+    assert not out.exists()
+
+
+def test_scene_view_in_ppm_is_read_as_its_luma(tmp_path):
+    # a scene directory's view may hold P6 bytes under its .pgm name: it is
+    # read as its luma, as the same file named by --left is
+    data = _synth(tmp_path)
+    scene = data / "scene_0000"
+    gray = read_image(scene / "left.pgm").pixels.astype(np.uint8)
+    colour = tmp_path / "left.ppm"
+    rgb = np.stack([gray, gray // 2, 255 - gray], axis=-1)
+    multiscopic.write_image(colour, multiscopic.ColorImage(rgb))
+    (scene / "left.pgm").write_bytes(colour.read_bytes())
+    for view in ("right", "top", "bottom"):
+        (scene / f"{view}.pgm").unlink()
+    flags = ["--rho", "1", "--d-max", "3"]
+    assert run(["disparity", "--in", str(scene), *flags, "--out", str(tmp_path / "dir")]) == 0
+    assert run(["disparity", "--center", str(scene / "center.pgm"), "--left", str(colour),
+                *flags, "--out", str(tmp_path / "named")]) == 0
+    disp = [(tmp_path / out / "disp.pfm").read_bytes() for out in ("dir", "named")]
+    assert disp[0] == disp[1]
+
+
+@pytest.mark.parametrize("command", ["disparity", "cost"])
+def test_scene_dir_and_named_views_give_the_same_bytes(tmp_path, command):
+    data = _synth(tmp_path)
+    scene = data / "scene_0000"
+    flags = ["--rho", "1", "--d-max", "3"]
+    named = ["--center", str(scene / "center.pgm")]
+    for view in ("left", "right", "top", "bottom"):
+        named += [f"--{view}", str(scene / f"{view}.pgm")]
+    assert run([command, "--in", str(scene), *flags, "--out", str(tmp_path / "dir")]) == 0
+    assert run([command, *named, *flags, "--out", str(tmp_path / "named")]) == 0
+    by_dir, by_name = _tree_bytes(tmp_path / "dir"), _tree_bytes(tmp_path / "named")
+    by_dir.pop("run.txt"), by_name.pop("run.txt")  # echoes the input flags
+    assert by_dir == by_name and by_dir
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("disparity", ["--rho", "100000000000"], "rho"),
+        ("cost", ["--rho", "100000000000"], "rho"),
+        ("cost", ["--d-max", "10000000000000000000"], "d_max"),
+        ("train", ["--d-max", "100000000000000000000"], "d_max"),
+        ("gc", ["--d-max", "100000000000000000"], "d_max"),
+        ("gc", ["--d-cutoff", "1000000000000000000000"], "d_cutoff"),
+    ],
+    ids=["disparity-rho", "cost-rho", "cost-d-max", "train-d-max", "gc-d-max", "gc-d-cutoff"],
+)
+def test_sizes_numpy_cannot_hold_exit_one_naming_the_field(tmp_path, capsys, command, flags, field):
+    # past np.iinfo(np.intp).max bytes NumPy refuses the array with a
+    # ValueError, and past the int64 range d_cutoff overflows
+    data = _synth(tmp_path)
+    out = tmp_path / "out"
+    if command == "train":
+        io_flags = ["--data", str(data), "--epochs", "1", "--out", str(out / "net.mfn")]
+    else:
+        io_flags = ["--in", str(data / "scene_0000"), "--out", str(out)]
+    capsys.readouterr()
+    assert run([command, *io_flags, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

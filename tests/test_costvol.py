@@ -261,10 +261,12 @@ def test_sad_sentinel_bands():
         assert (costs[~band] < LARGE_COST).all()
 
 
-def test_sad_shape_mismatch_rejected():
+@pytest.mark.parametrize("volume", [sad_cost_volume, bt_cost_volume], ids=["sad", "bt"])
+def test_shape_mismatch_rejected(volume):
+    # the one-view set checks the shapes for both matchers
     rng = np.random.default_rng(1)
-    with pytest.raises(InputError):
-        sad_cost_volume(_int_image(rng, 4, 4), _int_image(rng, 4, 5), Direction.RIGHT, BlockMatchParams())
+    with pytest.raises(InputError, match=r"right view shape \(4, 5\) does not match center \(4, 4\)"):
+        volume(_int_image(rng, 4, 4), _int_image(rng, 4, 5), Direction.RIGHT, BlockMatchParams())
 
 
 # ------------------------------------------------------------------- BT
@@ -353,8 +355,7 @@ def test_matchers_write_contract_costs_on_signed_zero_pixels(direction, matcher,
     ref, target = Image(pixels[0]), Image(pixels[1])
     assert np.signbit(ref.pixels).any() and np.signbit(target.pixels).any()
     p = BlockMatchParams(rho=1, d_min=0, d_max=13)
-    slices = {"sad": costvol.sad_slices, "bt": costvol.bt_slices}[matcher]
-    write = slices(ref, target, direction, p)
+    write = costvol._writers(MultiscopicSet(ref, [(direction, target)]), matcher, p)[0][0]
     # the row dtype of the one-view set names the path SAD took; an exact
     # writer's uint32 slices hold its float32 slices' values
     rows = next(multiscopic_slices(MultiscopicSet(ref, [(direction, target)]), matcher, p))

@@ -76,3 +76,17 @@ def test_traced_commands_reach_the_wrapped_names(tmp_path, tracing):
     assert expected <= names, sorted(expected - names)
     assert any(n.startswith("layers.conv3d_forward_ms.") for n in names)
     assert any(n.startswith("layers.conv3d_backward_ms.") for n in names)
+
+
+def test_named_view_files_are_read_through_the_wrapped_name(tmp_path, tracing):
+    # --center/--left/--right reach the same wrapped read_image as --in:
+    # one imagery.read span per image file read
+    data = tmp_path / "data"
+    _run(["synth", "--scenes", 1, "--out", data, "--width", 12, "--height", 10,
+          "--disp-min", 1, "--disp-max", 2])
+    scene = data / "scene_0000"
+    with tracing.Tracer() as tracer:
+        _run(["disparity", "--center", scene / "center.pgm", "--left", scene / "left.pgm",
+              "--right", scene / "right.pgm", "--rho", 1, "--d-max", 2, "--out", tmp_path / "wta"])
+    assert tracer.problems == []
+    assert [span.name for span in tracer.spans].count("imagery.read") == 3

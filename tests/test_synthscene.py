@@ -280,6 +280,12 @@ def test_load_scene_missing_center_rejected(tmp_path):
     d.mkdir()
     with pytest.raises(InputError):
         load_scene(d)
+    # so is a directory whose views are all present
+    generate_dataset(_small_ranges(), 1, seed=15, outdir=tmp_path / "d")
+    scene = tmp_path / "d" / "scene_0000"
+    (scene / "center.pgm").unlink()
+    with pytest.raises(InputError, match="no center.pgm"):
+        load_scene(scene)
 
 
 def test_load_scene_partial_views(tmp_path):
