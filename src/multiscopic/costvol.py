@@ -28,7 +28,6 @@ dtype, uint32 on the exact path, whose costs are integers.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_size
 from .imagery import Direction, Image, MultiscopicSet
 
 LARGE_COST = np.float32(1e9)
@@ -136,15 +135,6 @@ def check_volumes(volumes: list[CostVolume], caller: str, names: list | None = N
             )
 
 
-def _check_size(what: str, shape: tuple[int, ...], dtype) -> None:
-    """Raise InputError naming what where NumPy would refuse an array of
-    shape and dtype as larger than any array, np.iinfo(np.intp).max bytes;
-    a smaller one that does not fit in memory still raises MemoryError."""
-    limit = np.iinfo(np.intp).max
-    if math.prod(shape) * np.dtype(dtype).itemsize > limit:
-        raise InputError(f"{what}, {shape} {np.dtype(dtype)}, exceeds NumPy's {limit}-byte limit")
-
-
 def _inbounds_window(height: int, width: int, ox: int, oy: int) -> tuple[slice, slice]:
     """Rows and columns where (x + ox, y + oy) stays inside the image; the
     slices are empty when the shift leaves the frame."""
@@ -236,7 +226,7 @@ def _sad_writers(
     r = p.rho
     height, width = center.pixels.shape
     pw = width + 2 * r
-    _check_size(f"rho {r}: the image padded by rho", (height + 2 * r, pw), center.pixels.dtype)
+    check_size(f"rho {r}: the image padded by rho", (height + 2 * r, pw), center.pixels.dtype)
     pads = [np.pad(img.pixels, r, mode="edge") for img in [center] + [img for _, img in views]]
     bound = (2 * r + 1) ** 2 * 255
     signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
@@ -355,7 +345,7 @@ _MATCHERS = {"sad": _sad_writers, "bt": _bt_writers}
 def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
     """All of a writer's slices, written into one preallocated volume."""
     shape = (p.num_disparities,) + shape
-    _check_size(f"d_max {p.d_max}: the cost volume", shape, np.float32)
+    check_size(f"d_max {p.d_max}: the cost volume", shape, np.float32)
     out = np.empty(shape, dtype=np.float32)
     for k in range(p.num_disparities):
         write(k, out[k])

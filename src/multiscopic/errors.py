@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_size, the one test
+of an array size against NumPy's limit."""
+
+import math
+
+import numpy as np
 
 
 class MultiscopicError(Exception):
@@ -23,3 +28,12 @@ class SpecError(MultiscopicError):
 
 class TrainingError(MultiscopicError):
     """Training aborted, e.g. because the loss became non-finite."""
+
+
+def check_size(what: str, shape: tuple[int, ...], dtype) -> None:
+    """Raise InputError naming what where NumPy would refuse an array of
+    shape and dtype as larger than any array, np.iinfo(np.intp).max bytes;
+    a smaller one that does not fit in memory still raises MemoryError."""
+    limit = np.iinfo(np.intp).max
+    if math.prod(shape) * np.dtype(dtype).itemsize > limit:
+        raise InputError(f"{what}, {shape} {np.dtype(dtype)}, exceeds NumPy's {limit}-byte limit")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costvol import BlockMatchParams, CostVolume, multiscopic_volumes
-from .errors import InputError
+from .errors import InputError, check_size
 from .fusion import FusionStrategy, fuse, wta_disparity
 from .imagery import INVALID_DISPARITY, Direction, Image, MultiscopicSet, DisparityMap
 from .maxflow import ArcLayout, FlowState, LayoutGraph, max_flow
@@ -371,6 +371,17 @@ def multiscopic_gc(
         [(direction, upscale_image(img, s)) for direction, img in mset.surround],
     )
     bm_up = BlockMatchParams(rho=bm.rho, d_min=bm.d_min * s, d_max=bm.d_max * s)
+    h, w = up_center.pixels.shape
+    check_size(f"d_max {bm.d_max}: the cost volume upscaled x{s}", (bm_up.num_disparities, h, w),
+               np.float32)
+    # each energy and move capacity sums data costs and at most the worst
+    # labeling's smoothness energy, so that must be a finite float64
+    v_max = min(p.d_cutoff, bm_up.d_max - bm_up.d_min)
+    if not math.isfinite(p.lambda1 * v_max * (2 * h * w - h - w)):
+        raise InputError(
+            f"lambda1 {p.lambda1}, lambda2 {p.lambda2}: the smoothness energy of a labeling "
+            f"of the {h}x{w} upscaled grid can pass the float64 range"
+        )
     # the per-view volumes are dead once fused: hold no name for them
     c_gc = fuse(multiscopic_volumes(up_set, matcher, bm_up), FusionStrategy.HEURISTIC)
 

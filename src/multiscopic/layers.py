@@ -1,7 +1,8 @@
 """Minimal 3-D network primitives on (C, D, H, W) arrays.
 
 Each op comes as a forward function returning (output, cache) and a matching
-backward taking (grad_out, cache).  No autodiff: net.py wires these by hand.
+backward taking (grad_out, cache).  No autodiff: net.py wires these by hand,
+and records the caches only for its backward, which pops them in reverse.
 All ops preserve the dtype of their inputs, except that softmax_neg_forward
 returns float64 probabilities (see there); reductions that feed scalar
 losses happen in float64 at the call site.

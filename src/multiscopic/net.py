@@ -21,7 +21,10 @@ change no output; the head has none.
 Total parameter budget: 10,308 floats.
 
 Everything here is plain numpy; backward passes are wired by hand through
-the primitives in layers.py and validated by grad_check.
+the primitives in layers.py and validated by grad_check.  One private
+_forward runs the layer ops for both jobs: backward hands it a tape, a list
+on which each op's cache is recorded and which it pops in reverse, while
+forward and grad_check pass none, so inference holds no backward state.
 """
 
 from __future__ import annotations
@@ -125,53 +128,43 @@ def normalize_volume(vol: CostVolume) -> np.ndarray:
     return ((x - x.mean()) / std).astype(costs.dtype)
 
 
-def _forward_cached(net: FusionNet, volumes: list[CostVolume]):
+def _forward(net: FusionNet, volumes: list[CostVolume], tape: list | None = None):
+    """Probabilities (D, H, W) in float64 and the float64 disparity map.
+
+    Each layer op's backward cache is appended to `tape` when one is given,
+    in the order the ops run: per view its stem1, ReLU, stem2, ReLU caches,
+    then the trunk's, the softmax's last.  Without a tape every cache is
+    dropped as soon as its op returns, and `feat` (the stem average, then
+    enc1's output) is let go once the skip concat has read it, so only
+    activations still to be read stay alive.
+    """
     check_volumes(volumes, "forward")
     dtype = net.dtype
-    n = len(volumes)
+
+    def op(fn, *args):
+        out, cache = fn(*args)
+        if tape is not None:
+            tape.append(cache)
+        return out
 
     def conv(name: str, x: np.ndarray):
         c = net.convs[name]
-        return layers.conv3d_forward(x, c.w, c.b, stride=_STRIDES[name])
+        return op(layers.conv3d_forward, x, c.w, c.b, _STRIDES[name])
 
-    stem_caches = []
-    feat = None
-    for vol in volumes:
-        x = normalize_volume(vol).astype(dtype)[None]
-        o1, c1 = conv("stem1", x)
-        r1, m1 = layers.relu_forward(o1)
-        o2, c2 = conv("stem2", r1)
-        r2, m2 = layers.relu_forward(o2)
-        stem_caches.append((c1, m1, c2, m2))
-        feat = r2 if feat is None else feat + r2
-    feat = feat / dtype.type(n) if n > 1 else feat
+    def conv_relu(name: str, x: np.ndarray):
+        return op(layers.relu_forward, conv(name, x))
 
-    oe, ce = conv("enc1", feat)
-    e1, me = layers.relu_forward(oe)
-    od, cd = conv("down", e1)
-    d0, md = layers.relu_forward(od)
-    om, cm = conv("mid", d0)
-    m0, mm = layers.relu_forward(om)
-    u0, cu0 = layers.upsample_nearest_forward(m0, e1.shape[1:])
-    ou, cu = conv("up", u0)
-    u1, mu = layers.relu_forward(ou)
-    cat, ccat = layers.concat_forward([u1, e1])
-    oc, cdec = conv("dec", cat)
-    dc, mdec = layers.relu_forward(oc)
-    scores4, chead = conv("head", dc)
-    scores = scores4[0]
-
-    prob, psm = layers.softmax_neg_forward(scores)
+    for i, vol in enumerate(volumes):
+        x = conv_relu("stem2", conv_relu("stem1", normalize_volume(vol).astype(dtype)[None]))
+        feat = x if i == 0 else feat + x
+    feat = conv_relu("enc1", feat / dtype.type(len(volumes)))
+    x = conv_relu("mid", conv_relu("down", feat))
+    x = conv_relu("up", op(layers.upsample_nearest_forward, x, feat.shape[1:]))
+    x, feat = op(layers.concat_forward, [x, feat]), None
+    x = conv_relu("dec", x)
+    prob = op(layers.softmax_neg_forward, conv("head", x)[0])
     dvals = np.arange(volumes[0].d_min, volumes[0].d_max + 1, dtype=dtype)
-    disp = np.tensordot(dvals, prob, axes=(0, 0))
-
-    cache = dict(
-        n=n, stem_caches=stem_caches,
-        ce=ce, me=me, cd=cd, md=md, cm=cm, mm=mm, cu0=cu0, cu=cu, mu=mu,
-        ccat=ccat, cdec=cdec, mdec=mdec, chead=chead,
-        psm=psm, prob=prob, dvals=dvals, disp=disp,
-    )
-    return prob, disp, cache
+    return prob, np.tensordot(dvals, prob, axes=(0, 0))
 
 
 def forward(net: FusionNet, volumes: list[CostVolume]) -> tuple[np.ndarray, DisparityMap]:
@@ -180,7 +173,7 @@ def forward(net: FusionNet, volumes: list[CostVolume]) -> tuple[np.ndarray, Disp
     Per pixel the probabilities sum to 1 and the disparity is their
     expectation over d_min..d_max, so it always lies inside the range.
     """
-    prob, disp, _ = _forward_cached(net, volumes)
+    prob, disp = _forward(net, volumes)
     return prob, DisparityMap(disp.astype(np.float32))
 
 
@@ -213,22 +206,23 @@ def backward(
     """Loss and exact analytic gradients for every parameter.
 
     Reverse-mode accumulation through the regression, softmax, concat,
-    upsampling, ReLUs and convolutions; shared stem gradients sum over the
-    input volumes.  gt and mask must have the volumes' (H, W).
+    upsampling, ReLUs and convolutions, each op's cache popped off the
+    forward's tape; shared stem gradients sum over the input volumes, view 0
+    first.  gt and mask must have the volumes' (H, W).
     """
-    prob, disp, cache = _forward_cached(net, volumes)
+    tape: list = []
+    _, disp = _forward(net, volumes, tape)
     mask = np.asarray(mask, dtype=bool)
     loss, grad = _smooth_l1_terms(disp, gt, mask)
     dtype = net.dtype
-    cv = net.convs
 
     g_disp = np.zeros(disp.shape, dtype=np.float64)
     g_disp[mask] = grad
     g_disp = g_disp.astype(dtype)
 
     # d_hat = sum_k dvals[k] * prob[k]
-    dprob = cache["dvals"][:, None, None] * g_disp[None]
-    dscores = layers.softmax_neg_backward(dprob, cache["psm"])
+    dvals = np.arange(volumes[0].d_min, volumes[0].d_max + 1, dtype=dtype)
+    dscores = layers.softmax_neg_backward(dvals[:, None, None] * g_disp[None], tape.pop())
 
     grads: dict[str, np.ndarray] = {}
 
@@ -241,19 +235,22 @@ def backward(
                 grads[key] = g
         return dx
 
-    ddc = conv_back("head", dscores[None], cache["chead"])
-    dcat = conv_back("dec", layers.relu_backward(ddc, cache["mdec"]), cache["cdec"])
-    du1, de1_skip = layers.concat_backward(dcat, cache["ccat"])
-    du0 = conv_back("up", layers.relu_backward(du1, cache["mu"]), cache["cu"])
-    dm0 = layers.upsample_nearest_backward(du0, cache["cu0"])
-    dd0 = conv_back("mid", layers.relu_backward(dm0, cache["mm"]), cache["cm"])
-    de1 = conv_back("down", layers.relu_backward(dd0, cache["md"]), cache["cd"])
-    de1 = de1 + de1_skip
-    dfeat = conv_back("enc1", layers.relu_backward(de1, cache["me"]), cache["ce"])
+    # Arguments evaluate left to right, so each ReLU's mask comes off the
+    # tape before the cache of the conv that fed it.
+    pop = tape.pop
+    ddc = conv_back("head", dscores[None], pop())
+    dcat = conv_back("dec", layers.relu_backward(ddc, pop()), pop())
+    du1, de1_skip = layers.concat_backward(dcat, pop())
+    du0 = conv_back("up", layers.relu_backward(du1, pop()), pop())
+    dm0 = layers.upsample_nearest_backward(du0, pop())
+    dd0 = conv_back("mid", layers.relu_backward(dm0, pop()), pop())
+    de1 = conv_back("down", layers.relu_backward(dd0, pop()), pop()) + de1_skip
+    dfeat = conv_back("enc1", layers.relu_backward(de1, pop()), pop())
 
-    n = cache["n"]
-    dstem_out = dfeat / dtype.type(n) if n > 1 else dfeat
-    for c1, m1, c2, m2 in cache["stem_caches"]:
+    # Left on the tape: each view's stem1, ReLU, stem2, ReLU caches, view 0 first.
+    dstem_out = dfeat / dtype.type(len(volumes))
+    for i in range(0, len(tape), 4):
+        c1, m1, c2, m2 = tape[i : i + 4]
         dr1 = conv_back("stem2", layers.relu_backward(dstem_out, m2), c2)
         conv_back("stem1", layers.relu_backward(dr1, m1), c1)
 
@@ -281,7 +278,7 @@ def grad_check(
     picks = rng.choice(total, size=min(num_checks, total), replace=False)
 
     def loss_at() -> float:
-        _, disp, _ = _forward_cached(net, volumes)
+        _, disp = _forward(net, volumes)
         return smooth_l1(disp, gt, mask)
 
     worst = 0.0

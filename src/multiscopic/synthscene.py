@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InputError, SpecError
+from .errors import InputError, SpecError, check_size
 from .imagery import (ColorImage, Direction, DisparityMap, Image, MultiscopicSet, read_image,
                       to_grayscale, write_image)
 
@@ -203,6 +203,15 @@ class DatasetRanges:
             raise InputError("need at least one layer")
         if self.disparity[0] < 0:
             raise InputError("disparities must be >= 0")
+        if self.width < 2 or self.height < 2:
+            raise InputError("scene must be at least 2x2")
+        # a scene's largest array is a layer texture: the frame widened on
+        # each side by the largest disparity generate_scene accepts
+        margin = min(self.disparity[1], self.width // 4)
+        check_size(
+            f"width {self.width}, height {self.height}: a layer texture",
+            (self.height + 2 * margin, self.width + 2 * margin), np.float64,
+        )
 
 
 def sample_spec(ranges: DatasetRanges, rng: np.random.Generator) -> SceneSpec:

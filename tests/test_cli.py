@@ -600,10 +600,15 @@ def test_scene_dir_and_named_views_give_the_same_bytes(tmp_path, command):
         ("cost", ["--rho", "100000000000"], "rho"),
         ("cost", ["--d-max", "10000000000000000000"], "d_max"),
         ("train", ["--d-max", "100000000000000000000"], "d_max"),
-        ("gc", ["--d-max", "100000000000000000"], "d_max"),
+        # the value given, not the x2 upscaled one the volume is built for
+        ("gc", ["--d-max", "100000000000000000"], "d_max 100000000000000000:"),
         ("gc", ["--d-cutoff", "1000000000000000000000"], "d_cutoff"),
+        # a 1e11-wide scene alone stays under the limit: out of memory
+        ("synth", ["--width", "100000000000", "--height", "100000000000"],
+         "width 100000000000, height 100000000000:"),
     ],
-    ids=["disparity-rho", "cost-rho", "cost-d-max", "train-d-max", "gc-d-max", "gc-d-cutoff"],
+    ids=["disparity-rho", "cost-rho", "cost-d-max", "train-d-max", "gc-d-max", "gc-d-cutoff",
+         "synth-width-height"],
 )
 def test_sizes_numpy_cannot_hold_exit_one_naming_the_field(tmp_path, capsys, command, flags, field):
     # past np.iinfo(np.intp).max bytes NumPy refuses the array with a
@@ -612,6 +617,8 @@ def test_sizes_numpy_cannot_hold_exit_one_naming_the_field(tmp_path, capsys, com
     out = tmp_path / "out"
     if command == "train":
         io_flags = ["--data", str(data), "--epochs", "1", "--out", str(out / "net.mfn")]
+    elif command == "synth":
+        io_flags = ["--scenes", "1", "--out", str(out)]
     else:
         io_flags = ["--in", str(data / "scene_0000"), "--out", str(out)]
     capsys.readouterr()
@@ -658,8 +665,10 @@ def test_synth_rejects_bad_range(tmp_path, capsys, flags, what):
         (["--k-occlusion", "inf"], "k_occlusion"),
         (["--lambda1", "inf", "--lambda2", "inf"], "lambda"),
         (["--lambda1", "9", "--lambda2", "nan"], "lambda"),
+        # 1e308 times a pair's largest label gap, 2, is past float64's range
+        (["--lambda1", "1e308", "--lambda2", "1e308"], "lambda1 1e+308, lambda2 1e+308"),
     ],
-    ids=["k-nan", "k-negative", "k-inf", "lambdas-inf", "lambda2-nan"],
+    ids=["k-nan", "k-negative", "k-inf", "lambdas-inf", "lambda2-nan", "lambdas-overflow"],
 )
 def test_gc_rejects_bad_energy_weight(tmp_path, capsys, flags, what):
     data = _synth(tmp_path)
@@ -672,6 +681,19 @@ def test_gc_rejects_bad_energy_weight(tmp_path, capsys, flags, what):
     assert code == 1
     _assert_plain_error(capsys, what)
     assert not (out / "disp.pfm").exists()
+
+
+def test_gc_runs_lambdas_whose_energy_stays_finite(tmp_path):
+    # on the 12x16 grid (356 pairs, labels 1..3) no labeling's smoothness
+    # energy passes 356 * 2 * 1e300, so these run as they always have
+    data = _synth(tmp_path)
+    out = tmp_path / "gc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["gc", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+                    "--upscale", "1", "--lambda1", "1e300", "--lambda2", "1e300",
+                    "--out", str(out)]) == 0
+    assert (out / "disp.pfm").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "gc", "train"])

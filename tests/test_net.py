@@ -1,6 +1,7 @@
 """Fusion network: forward semantics, analytic gradients, training, format."""
 
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -300,6 +301,23 @@ def test_forward_handles_odd_sizes():
     vols, _, _ = _sample(seed=9, d=3, h=7, w=9)
     prob, _ = forward(net, vols)
     assert prob.shape == (3, 7, 9)
+
+
+def test_forward_holds_no_backward_state():
+    # inference keeps only the activations still to be read: no conv phases
+    # or ReLU masks outlive their op.  Keeping every op's cache, as the
+    # backward must, peaks near 790 bytes per cost cell at this shape.
+    net = init_network(0)
+    d, h, w = 16, 64, 64
+    vols = _rand_vols(np.random.default_rng(0), 4, d, h, w)
+    forward(net, vols)
+    tracemalloc.start()
+    try:
+        forward(net, vols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (d * h * w) <= 400
 
 
 def test_translation_consistency_on_shifted_volume():

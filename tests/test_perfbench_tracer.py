@@ -90,3 +90,28 @@ def test_named_view_files_are_read_through_the_wrapped_name(tmp_path, tracing):
               "--right", scene / "right.pgm", "--rho", 1, "--d-max", 2, "--out", tmp_path / "wta"])
     assert tracer.problems == []
     assert [span.name for span in tracer.spans].count("imagery.read") == 3
+
+
+def test_train_and_infer_spans_count_the_net_calls(tmp_path, tracing):
+    # training runs the forward for its backward without the public
+    # net.forward; inference on 4 views runs 2 stem convs per view and 6
+    # trunk convs, and no backward
+    data = tmp_path / "data"
+    _run(["synth", "--scenes", 1, "--out", data, "--width", 12, "--height", 10,
+          "--disp-min", 1, "--disp-max", 2])
+    weights = tmp_path / "net.mfn"
+    with tracing.Tracer() as tracer:
+        _run(["train", "--data", data, "--rho", 1, "--d-max", 2, "--epochs", 1,
+              "--out", weights])
+    assert tracer.problems == []
+    names = [span.name for span in tracer.spans]
+    assert names.count("net.backward") == 1 and "net.forward" not in names
+
+    with tracing.Tracer() as tracer:
+        _run(["infer", "--in", data / "scene_0000", "--rho", 1, "--d-max", 2,
+              "--weights", weights, "--out", tmp_path / "net"])
+    assert tracer.problems == []
+    names = [span.name for span in tracer.spans]
+    assert names.count("net.forward") == 1
+    assert sum(n.startswith("layers.conv3d_forward_ms.") for n in names) == 2 * 4 + 6
+    assert not any("backward" in n for n in names)
