@@ -351,7 +351,8 @@ def multiscopic_gc(
     upscale factor); OCCLUDED pixels come out invalid.  A move is kept only
     if the recomputed energy strictly drops, so the energy trace (initial
     energy, then one entry after every move and occlusion pass) is
-    non-increasing.
+    non-increasing.  A move that switches no pixel is rejected without
+    computing its energy, which is the current one.
 
     A move is a deterministic function of the labels and the pair weights,
     so an alpha whose move was rejected is not solved again until an
@@ -404,7 +405,10 @@ def multiscopic_gc(
         for alpha in rng.permutation(all_alphas).tolist():
             if rejected_at.get(alpha) != version:
                 cand = expansion_move(labels, alpha, c_gc, up_center, p, weights, reuse)
-                cand_energy = gc_energy(cand, c_gc, up_center, p, weights)
+                # energy is gc_energy(labels, weights): a move that switches
+                # no pixel cannot lower it
+                cand_energy = (energy if np.array_equal(cand, labels)
+                               else gc_energy(cand, c_gc, up_center, p, weights))
                 if cand_energy < energy - _IMPROVE_EPS:
                     labels = cand
                     energy = cand_energy

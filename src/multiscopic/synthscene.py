@@ -8,6 +8,13 @@ shifted layers never run out of content.  Ground truth is geometric (the
 front-most layer per center pixel) and stays valid even where a pixel is
 hidden in every surrounding view.
 
+Layer textures are value noise, each octave a bilinear blend of a random
+lattice L done separably: rows = L[:, x0]*(1-fx) + L[:, x0+1]*fx once per
+lattice row, then rows[y0]*(1-fy) + rows[y0+1]*fy.  The 2-D formula
+(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy rounds the same float64
+products and sums of the same values, so every texel has its bits
+(tests/oracles.py holds it) at about half the work.
+
 read_views is the one reader of a view set, whether its files are a scene
 directory's (load_views) or named one by one (the CLI's --center/--left/...).
 """
@@ -93,12 +100,9 @@ def _value_noise(rng: np.random.Generator, height: int, width: int,
         y0 = ys.astype(int)
         x0 = xs.astype(int)
         fy = (ys - y0)[:, None]
-        fx = (xs - x0)[None, :]
-        a = lattice[y0][:, x0]
-        b = lattice[y0][:, x0 + 1]
-        c = lattice[y0 + 1][:, x0]
-        d = lattice[y0 + 1][:, x0 + 1]
-        out += amp * ((a * (1 - fx) + b * fx) * (1 - fy) + (c * (1 - fx) + d * fx) * fy)
+        fx = xs - x0
+        rows = lattice[:, x0] * (1 - fx) + lattice[:, x0 + 1] * fx
+        out += amp * (rows[y0] * (1 - fy) + rows[y0 + 1] * fy)
         total += amp
         amp *= 0.5
     return out / total
@@ -121,6 +125,12 @@ def _layer_texture(rng: np.random.Generator, spec: SceneSpec,
     return tex
 
 
+def _check_disparity(spec: SceneSpec, what: str) -> None:
+    """Raise SpecError naming what if a layer's disparity exceeds width/4."""
+    if spec.max_disparity > spec.width / 4:
+        raise SpecError(f"{what} {spec.max_disparity} exceeds width/4 = {spec.width / 4}")
+
+
 def generate_scene(spec: SceneSpec, seed: int) -> tuple[MultiscopicSet, DisparityMap]:
     """Render center + LEFT/RIGHT/TOP/BOTTOM views and the exact GT map.
 
@@ -130,10 +140,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> tuple[MultiscopicSet, Disparit
     same compositor's noise-free center view of planes holding each
     layer's disparity.
     """
-    if spec.max_disparity > spec.width / 4:
-        raise SpecError(
-            f"max layer disparity {spec.max_disparity} exceeds width/4 = {spec.width / 4}"
-        )
+    _check_disparity(spec, "max layer disparity")
     height, width = spec.height, spec.width
     margin = spec.max_disparity
     ext_h, ext_w = height + 2 * margin, width + 2 * margin
@@ -240,6 +247,15 @@ def sample_spec(ranges: DatasetRanges, rng: np.random.Generator) -> SceneSpec:
     )
 
 
+def _scene_draws(ranges: DatasetRanges, n: int, seed: int):
+    """Each of n scenes' (name, spec, generate_scene seed), drawn from its
+    own SeedSequence([seed, i]), so every call yields the same draws."""
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        spec = sample_spec(ranges, rng)
+        yield f"scene_{i:04d}", spec, int(rng.integers(0, 2**63))
+
+
 def generate_dataset(
     ranges: DatasetRanges, n: int, seed: int, outdir: Union[str, Path]
 ) -> list[str]:
@@ -249,23 +265,21 @@ def generate_dataset(
     and meta.txt (d_max=, the largest layer disparity, and seed=, the
     generate_scene seed).  A manifest.txt with one scene directory per
     line is written alongside.  Byte-identical for identical (ranges, n,
-    seed).
+    seed).  Every scene is drawn and checked before anything is written, so
+    a scene with a layer past width/4 is refused (a SpecError naming
+    disp_max, the scene and its disparity) with nothing on disk.
     """
     if n < 1:
         raise InputError("dataset size must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    for name, spec, _ in _scene_draws(ranges, n, seed):
+        _check_disparity(spec, f"disp_max {ranges.disparity[1]}: {name}'s max layer disparity")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for i in range(n):
-        ss = np.random.SeedSequence([seed, i])
-        rng = np.random.default_rng(ss)
-        spec = sample_spec(ranges, rng)
-        scene_seed = int(rng.integers(0, 2**63))
+    for name, spec, scene_seed in _scene_draws(ranges, n, seed):
         mset, gt = generate_scene(spec, scene_seed)
-
-        name = f"scene_{i:04d}"
         sdir = outdir / name
         sdir.mkdir(exist_ok=True)
         write_image(sdir / "center.pgm", mset.center)

@@ -286,3 +286,30 @@ def occlusion_oracle(labels, costs, d_min, k_occ, w_h, w_v, cutoff, eps, occlude
                 out[y, x] = occluded
                 flips += 1
     return out, flips
+
+
+def value_noise_reference(rng, height, width, base_cell, octaves):
+    """The 2-D bilinear value-noise formula: per octave, gather the four
+    lattice corners of every pixel and blend them in float64."""
+    out = np.zeros((height, width), dtype=np.float64)
+    amp = 1.0
+    total = 0.0
+    for o in range(octaves):
+        cell = max(base_cell >> o, 1)
+        ny = height // cell + 2
+        nx = width // cell + 2
+        lattice = rng.random((ny, nx))
+        ys = np.arange(height) / cell
+        xs = np.arange(width) / cell
+        y0 = ys.astype(int)
+        x0 = xs.astype(int)
+        fy = (ys - y0)[:, None]
+        fx = (xs - x0)[None, :]
+        a = lattice[y0][:, x0]
+        b = lattice[y0][:, x0 + 1]
+        c = lattice[y0 + 1][:, x0]
+        d = lattice[y0 + 1][:, x0 + 1]
+        out += amp * ((a * (1 - fx) + b * fx) * (1 - fy) + (c * (1 - fx) + d * fx) * fy)
+        total += amp
+        amp *= 0.5
+    return out / total

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: pipelines, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -655,6 +656,39 @@ def test_synth_rejects_bad_range(tmp_path, capsys, flags, what):
     assert code == 1
     _assert_plain_error(capsys, what)
     assert not out.exists()
+
+
+def _synth_64(out, disp_min, seed, scenes=1):
+    return run(["synth", "--scenes", str(scenes), "--out", str(out), "--width", "64",
+                "--height", "64", "--disp-min", str(disp_min), "--disp-max", "40",
+                "--seed", str(seed)])
+
+
+@pytest.mark.parametrize(
+    "disp_min, seed, scenes, refused",
+    [(30, 0, 1, "scene_0000's max layer disparity 37"),
+     # scene_0000 fits; scene_0001 does not, and scene_0000 is not written either
+     (1, 3, 2, "scene_0001's max layer disparity 31")],
+    ids=["first-scene", "later-scene"],
+)
+def test_synth_refuses_a_layer_past_a_quarter_width_before_it_writes(
+        tmp_path, capsys, disp_min, seed, scenes, refused):
+    out = tmp_path / "data"
+    assert _synth_64(out, disp_min, seed, scenes) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: disp_max 40: {refused} exceeds width/4 = 16.0\n", err
+    assert not out.exists()
+
+
+def test_synth_keeps_a_drawn_scene_within_a_quarter_width(tmp_path):
+    # width/4 is a rule on each drawn scene, not on --disp-max: seed 3's one
+    # scene has its largest layer at 10, and is written as before
+    out = tmp_path / "data"
+    assert _synth_64(out, 1, 3) == 0
+    tree = _tree_bytes(out)
+    del tree["run.txt"]  # it names the --out path
+    digest = hashlib.sha256(b"".join(name.encode() + data for name, data in tree.items()))
+    assert digest.hexdigest() == "b75862bcc3e6a9f862472138be8d48eb227e6794e5c57f0ad6ad71bcf6b0803a"
 
 
 @pytest.mark.parametrize(

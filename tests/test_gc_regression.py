@@ -22,7 +22,10 @@ second rng seed with a sweep cap visits the alphas in another order.
 
 import hashlib
 
-from multiscopic import BlockMatchParams, GcParams, multiscopic_gc
+import numpy as np
+import pytest
+
+from multiscopic import BlockMatchParams, GcParams, graphcut, multiscopic_gc
 from multiscopic.synthscene import SceneLayer, SceneSpec, generate_scene
 
 SPEC = SceneSpec(20, 20, [SceneLayer(1), SceneLayer(4, (5, 4, 9, 8))], noise_sigma=3.0)
@@ -71,3 +74,51 @@ def test_seed3_two_sweeps_gc_output_digest():
     digest, n_trace = _run(2024, rng_seed=3, max_sweeps=2)
     assert n_trace == 21
     assert digest == "d3611422d935c4f89096880a82f30358a69cb2ee2f1491cb04bb27d98d2af86b"
+
+
+@pytest.mark.parametrize(
+    "seed, params, trace_digest",
+    [(2024, {}, "434965a3f6da0d556d96a40d1bf30b229e211045fbf251d1ee8ef9f7b645ee5f"),
+     (2029, {"recheck_smoothness_weights": True},
+      "fb9f0a2bb0ca9594024ee3cc6e7cbab33fb44d1643413e9ecbdb974d367bff9b")],
+    ids=["default", "recheck-weights"],
+)
+def test_energy_only_for_moves_that_switch_a_pixel(monkeypatch, seed, params, trace_digest):
+    # gc_energy runs once at the start, once per move that switches a pixel,
+    # per occlusion pass with flips and per weight recheck that changes a
+    # weight; the trace digests were recorded when every move ran it
+    count = {"energy": 0, "expected": 1, "idle": 0}
+    weights_now = []
+    energy, move = graphcut.gc_energy, graphcut.expansion_move
+    occlusion, recheck = graphcut.occlusion_pass, graphcut._recheck_weights
+
+    def counted_energy(*args):
+        count["energy"] += 1
+        return energy(*args)
+
+    def counted_move(labels, *args):
+        cand = move(labels, *args)
+        count["idle" if np.array_equal(cand, labels) else "expected"] += 1
+        return cand
+
+    def counted_occlusion(labels, c_gc, center, p, weights):
+        weights_now[:] = weights
+        labels, flips = occlusion(labels, c_gc, center, p, weights)
+        count["expected"] += flips > 0
+        return labels, flips
+
+    def counted_recheck(*args):
+        rechecked = recheck(*args)
+        count["expected"] += not all(map(np.array_equal, rechecked, weights_now))
+        return rechecked
+
+    monkeypatch.setattr(graphcut, "gc_energy", counted_energy)
+    monkeypatch.setattr(graphcut, "expansion_move", counted_move)
+    monkeypatch.setattr(graphcut, "occlusion_pass", counted_occlusion)
+    monkeypatch.setattr(graphcut, "_recheck_weights", counted_recheck)
+    mset, _ = generate_scene(SPEC, seed=seed)
+    trace = []
+    multiscopic_gc(mset, GcParams(**params), bm=BM, energy_trace=trace)
+    assert count["idle"] > 0
+    assert count["energy"] == count["expected"], count
+    assert hashlib.sha256(np.array(trace).tobytes()).hexdigest() == trace_digest

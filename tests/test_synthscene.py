@@ -18,7 +18,8 @@ from multiscopic import (
     read_image,
     sample_spec,
 )
-from multiscopic.synthscene import VIEW_ORDER
+from multiscopic.synthscene import OCTAVES, VIEW_ORDER, _value_noise
+from oracles import value_noise_reference
 
 
 def _spec_two_layers(w=16, h=12, d_back=1, d_front=3, noise=0.0):
@@ -152,6 +153,26 @@ def test_excessive_disparity_rejected():
         generate_scene(spec, seed=0)
 
 
+@pytest.mark.parametrize(
+    "height, width, base_cell, seeds",
+    [
+        (16, 16, 1, range(3)),  # every octave's cell is 1
+        (37, 53, 8, range(4)),  # cells that divide neither side
+        (68, 68, 7, range(4)),
+        (1, 40, 5, range(3)),  # one row
+        (40, 1, 5, range(3)),  # one column
+        (1088, 1088, 8, range(1)),
+    ],
+    ids=["cell-1", "cell-8-37x53", "cell-7-68", "one-row", "one-column", "1088"],
+)
+def test_value_noise_has_the_2d_formulas_bits(height, width, base_cell, seeds):
+    for seed in seeds:
+        got = _value_noise(np.random.default_rng(seed), height, width, base_cell)
+        want = value_noise_reference(np.random.default_rng(seed), height, width, base_cell,
+                                     OCTAVES)
+        assert np.array_equal(got, want), seed
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         SceneSpec(width=16, height=16, layers=[])
@@ -263,6 +284,15 @@ def test_generate_dataset_digest(tmp_path):
     for meta in sorted(tmp_path.rglob("meta.txt")):
         keys = [line.split("=", 1)[0] for line in meta.read_text().splitlines()]
         assert keys == ["d_max", "seed"], meta
+
+
+def test_dense_wta_reference_set_digest(tmp_path):
+    """Pins the six 256x256, d in [0, 32] scenes that synth writes with its
+    default seed: dense-wta's reference set in perfbench."""
+    out = tmp_path / "ref"
+    generate_dataset(DatasetRanges(width=256, height=256, disparity=(0, 32)), 6, seed=0,
+                     outdir=out)
+    assert _pixel_digest(out) == "a6e595ecec389cc79370b0f4f2bf62babae59e1f63ddbc44a780c142b07864be"
 
 
 def test_dataset_gt_survives_disk_exactly(tmp_path):
