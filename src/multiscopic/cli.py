@@ -213,15 +213,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_disparity(args) -> int:
-    # one disparity at a time: matcher slices -> fusion -> running-argmin WTA,
-    # up to the largest image extent along the views' shift axes, since every
-    # slice past it is all LARGE_COST and cannot change the WTA; args, which
-    # run.txt and the Jet range read, keep the d_max given
-    mset = _input_set(args)
-    p = _bm_params(args)
-    extent = max(mset.width if d.offset(1)[0] else mset.height for d, _ in mset.surround)
-    p = costvol.BlockMatchParams(p.rho, p.d_min, max(p.d_min, min(p.d_max, extent - 1)))
-    slices = costvol.multiscopic_slices(mset, args.matcher, p)
+    # one disparity at a time: matcher slices -> fusion -> running-argmin WTA
+    slices = costvol.multiscopic_slices(_input_set(args), args.matcher, _bm_params(args))
     fused = fusion.fuse_slices(
         slices, fusion.FusionStrategy(args.fusion), args.heuristic_factor
     )
@@ -240,6 +233,7 @@ def _cmd_train(args) -> int:
     log_path = out.with_suffix(".log")
     if log_path == out:
         raise InputError(f"{out}: the loss log would overwrite the weights; use another suffix")
+    cfg = net.TrainConfig(learning_rate=args.lr, epochs=args.epochs, rng_seed=args.seed)
     root = Path(args.data)
     scene_dirs = [root / name for name in _manifest(root)]
     bm = _bm_params(args)
@@ -255,7 +249,6 @@ def _cmd_train(args) -> int:
             )
         volumes = costvol.multiscopic_volumes(mset, args.matcher, bm)
         dataset.append((volumes, gt, mask))
-    cfg = net.TrainConfig(learning_rate=args.lr, epochs=args.epochs, rng_seed=args.seed)
     model, log = net.train(dataset, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     net.save_net(model, out)

@@ -13,17 +13,18 @@ require the costs finite, on the file's costs.  On such floats equal
 costs have equal bits and the uint32 order of the bits is the float order.
 
 Each SAD cost equals the float32 sum of its block's absolute differences
-added in row-major order.  The matchers are set up once per view set
-(multiscopic_slices, multiscopic_volumes); sad_cost_volume and
-bt_cost_volume are the volumes of a one-view set.  SAD picks its summation
-once for the set: when every image is integer-valued (every PGM input)
-and (2*rho+1)^2 * 255 < 2^24, every block sum is an integer that float32
-holds exactly, so blocks are summed in integers, separably, rows then
-columns, each by doubling (3 adds per axis at rho 2): uint16 for rho <= 7,
-uint32 up to rho 127.  Any other set (one PPM luma, upscaled `gc` or float
-image in it, or rho >= 128) is summed in float32 in the row-major order
-itself.  Volumes hold float32; multiscopic_slices streams the set's cost
-dtype, uint32 on the exact path, whose costs are integers.
+added in row-major order.  The matchers are set up once per view set and
+run in one loop, multiscopic_slices, which streams the set's cost dtype
+(uint32 on the exact path below, whose costs are integers, else float32)
+and ends where every view has left the frame.  Each volume is that stream
+stored in float32 (multiscopic_volumes; sad_cost_volume and bt_cost_volume
+store a one-view set's).  SAD picks its summation once for the set: when
+every image is integer-valued (every PGM input) and (2*rho+1)^2 * 255 <
+2^24, every block sum is an integer that float32 holds exactly, so blocks
+are summed in integers, separably, rows then columns, each by doubling (3
+adds per axis at rho 2): uint16 for rho <= 7, uint32 up to rho 127.  Any
+other set (one PPM luma, upscaled `gc` or float image in it, or rho >=
+128) is summed in float32 in the row-major order itself.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
 
 
 # A matcher set up for one view of a set: write(k, out) stores the (H, W)
-# costs of disparity d_min + k in out, every cell of it.  The writers of a
-# set share their buffers and run one after another.  out is float32 or
-# the set's cost dtype (uint32 on SAD's exact path).
+# costs of disparity d_min + k in out, every cell of it, in the set's cost
+# dtype (uint32 on SAD's exact path, else float32).  The writers of a set
+# share their buffers and run one after another.
 SliceWriter = Callable[[int, np.ndarray], None]
 
 # A view set's writers, in set order, and the dtype their costs are exact in.
@@ -342,16 +343,6 @@ def _bt_writers(
 _MATCHERS = {"sad": _sad_writers, "bt": _bt_writers}
 
 
-def _volume(write: SliceWriter, shape: tuple[int, int], p: BlockMatchParams) -> CostVolume:
-    """All of a writer's slices, written into one preallocated volume."""
-    shape = (p.num_disparities,) + shape
-    check_size(f"d_max {p.d_max}: the cost volume", shape, np.float32)
-    out = np.empty(shape, dtype=np.float32)
-    for k in range(p.num_disparities):
-        write(k, out[k])
-    return CostVolume(out, p.d_min, p.d_max)
-
-
 def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers:
     """The matcher's writers for the n views of the set."""
     if matcher not in _MATCHERS:
@@ -359,46 +350,22 @@ def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers
     return _MATCHERS[matcher](mset.center, mset.surround, p)
 
 
-def _one_view_volume(
-    matcher: str, ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    mset = MultiscopicSet(ref, [(direction, target)])
-    return _volume(_writers(mset, matcher, p)[0][0], ref.pixels.shape, p)
-
-
-def sad_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """The SAD volume of the one-view set."""
-    return _one_view_volume("sad", ref, target, direction, p)
-
-
-def bt_cost_volume(
-    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
-) -> CostVolume:
-    """The BT volume of the one-view set."""
-    return _one_view_volume("bt", ref, target, direction, p)
-
-
-def multiscopic_volumes(
-    mset: MultiscopicSet, matcher: str, p: BlockMatchParams
-) -> list[CostVolume]:
-    """One cost volume per surrounding view, in set order."""
-    shape = mset.center.pixels.shape
-    return [_volume(write, shape, p) for write in _writers(mset, matcher, p)[0]]
-
-
 def multiscopic_slices(
     mset: MultiscopicSet, matcher: str, p: BlockMatchParams
 ) -> Iterator[list[np.ndarray]]:
     """Per disparity, in order, the list of the n views' cost slices in set
-    order: the slices of multiscopic_volumes without ever holding a volume.
+    order, without ever holding a volume.  A shift of extent, the largest
+    image extent along the views' shift axes, leaves every view's frame, so
+    every slice from there on is all LARGE_COST: the stream yields
+    max(1, min(D, extent - d_min)) lists, d_min's always among them.
 
     The slices, in the set's cost dtype (uint32 on SAD's exact path, else
     float32), are scratch, refilled for the next disparity; a consumer is
     done with them (and may overwrite them) before it asks for the next
     list.
     """
+    extent = max(mset.width if d.offset(1)[0] else mset.height for d, _ in mset.surround)
+    p = BlockMatchParams(p.rho, p.d_min, max(p.d_min, min(p.d_max, extent - 1)))
     writers, dtype = _writers(mset, matcher, p)
     rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=dtype))
 
@@ -409,6 +376,42 @@ def multiscopic_slices(
             yield rows
 
     return stream()
+
+
+def _stored(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> list[CostVolume]:
+    """The stream of multiscopic_slices stored, one float32 volume per view:
+    each slice is written once, with LARGE_COST past the stream's end."""
+    slices = multiscopic_slices(mset, matcher, p)
+    shape = (p.num_disparities,) + mset.center.pixels.shape
+    check_size(f"d_max {p.d_max}: the cost volume", shape, np.float32)
+    vols = [np.empty(shape, dtype=np.float32) for _ in mset.surround]
+    for k, rows in enumerate(slices):
+        for vol, row in zip(vols, rows):
+            vol[k] = row
+    for vol in vols:
+        vol[k + 1 :] = LARGE_COST
+    return [CostVolume(vol, p.d_min, p.d_max) for vol in vols]
+
+
+def sad_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The SAD volume of the one-view set."""
+    return _stored(MultiscopicSet(ref, [(direction, target)]), "sad", p)[0]
+
+
+def bt_cost_volume(
+    ref: Image, target: Image, direction: Direction, p: BlockMatchParams
+) -> CostVolume:
+    """The BT volume of the one-view set."""
+    return _stored(MultiscopicSet(ref, [(direction, target)]), "bt", p)[0]
+
+
+def multiscopic_volumes(
+    mset: MultiscopicSet, matcher: str, p: BlockMatchParams
+) -> list[CostVolume]:
+    """One cost volume per surrounding view, in set order."""
+    return _stored(mset, matcher, p)
 
 
 def save_volume(path: Union[str, Path], vol: CostVolume) -> None:

@@ -41,8 +41,9 @@ _BLOCK_BYTES = 384 * 1024
 _MIN_BLOCK_COLS = 256
 
 
-def _phase_layout(shape, k: int, stride: int, pad: int):
-    """Geometry shared by conv3d_forward and conv3d_backward.
+def _phase_layout(shape, k: int, stride: int):
+    """Geometry shared by conv3d_forward and conv3d_backward, whose input is
+    zero-padded by k // 2 on every side.
 
     Returns the output size (d_out, h_out, w_out), the phase grid size
     (dq, hq, wq), the length of the flat output run (first to last output
@@ -50,7 +51,7 @@ def _phase_layout(shape, k: int, stride: int, pad: int):
     flat offset into a flattened phase grid.
     """
     _, d, h, wd = shape
-    s = stride
+    s, pad = stride, k // 2
     d_out, h_out, w_out = ((n + 2 * pad - k) // s + 1 for n in (d, h, wd))
     dq, hq, wq = (-(-(n + 2 * pad) // s) for n in (d, h, wd))
     span = ((d_out - 1) * hq + h_out - 1) * wq + w_out
@@ -77,11 +78,9 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def conv3d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1, pad: int = 1
-):
-    """3-D convolution, kernel (C_out, C_in, k, k, k), zero padding, plus
-    the bias b (C_out,) unless b is None.
+def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1):
+    """3-D convolution, kernel (C_out, C_in, k, k, k), zero padding k // 2,
+    plus the bias b (C_out,) unless b is None.
 
     The padded input is split into stride^3 phases, phase (pz, py, px)
     holding the samples at (stride*i + pz, stride*j + py, stride*l + px);
@@ -100,8 +99,8 @@ def conv3d_forward(
     c_out, c_in2, k, k2, k3 = w.shape
     if c_in != c_in2 or not (k == k2 == k3):
         raise InputError(f"kernel {w.shape} does not fit input {x.shape}")
-    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x.shape, k, stride, pad)
-    s = stride
+    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x.shape, k, stride)
+    s, pad = stride, k // 2
     xq = np.zeros((c_in, s * dq, s * hq, s * wq), dtype=x.dtype)
     xq[:, pad : pad + d, pad : pad + h, pad : pad + wd] = x
     phases = (
@@ -118,7 +117,7 @@ def conv3d_forward(
     out = acc.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out]
     if b is not None:
         out = out + b[:, None, None, None]
-    cache = (x.shape, w, stride, pad, phases, b is not None)
+    cache = (x.shape, w, stride, phases, b is not None)
     return out, cache
 
 
@@ -132,11 +131,11 @@ def conv3d_backward(grad_out: np.ndarray, cache):
     dW_o += g_blk @ view_o.T and dphase[view_o] += W_o.T @ g_blk, where
     view_o = phase[:, off_o + c0 : off_o + c1].
     """
-    x_shape, w, stride, pad, phases, has_bias = cache
+    x_shape, w, stride, phases, has_bias = cache
     c_in, d, h, wd = x_shape
     c_out, _, k = w.shape[:3]
-    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x_shape, k, stride, pad)
-    s = stride
+    (d_out, h_out, w_out), (dq, hq, wq), span, taps = _phase_layout(x_shape, k, stride)
+    s, pad = stride, k // 2
     g_flat = np.zeros((c_out, d_out * hq * wq), dtype=grad_out.dtype)
     g_flat.reshape(c_out, d_out, hq, wq)[:, :, :h_out, :w_out] = grad_out
     db = grad_out.reshape(c_out, -1).sum(axis=1) if has_bias else None

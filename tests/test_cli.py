@@ -635,6 +635,41 @@ def _assert_plain_error(capsys, what):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["eval", "--pred", "{scene}/gt.pfm", "--gt", "{data}"], "--pred and --gt"),
+    (["eval", "--pred", "{scene}/center.pgm", "--gt", "{scene}/gt.pfm"],
+     "{scene}/center.pgm: expected a PFM disparity map"),
+    (["colorize", "--in", "{scene}/center.pgm"], "{scene}/center.pgm: expected a PFM disparity map"),
+    (["train", "--data", "{no_gt}"], "{no_gt}/scene_0000: no gt.pfm"),
+    (["train", "--data", "{center_only}"], "{center_only}: no manifest.txt"),
+    (["disparity", "--center", "{scene}/center.pgm"], "--left/--right/--top/--bottom"),
+    (["disparity", "--in", "{center_only}"], "{center_only}: no directional views"),
+    (["gc", "--in", "{scene}", "--theta", "0"], "theta"),
+    (["synth", "--scenes", "0"], "dataset size"),
+    (["synth", "--scenes", "1", "--layers-min", "0", "--layers-max", "0"], "layer"),
+    (["synth", "--scenes", "1", "--disp-min", "-1"], "disparities"),
+    (["synth", "--scenes", "1", "--width", "1"], "2x2"),
+    # the settings are checked before the data: no manifest is looked for
+    (["train", "--data", "{center_only}", "--epochs", "0"], "epochs"),
+], ids=["eval-file-and-dir", "eval-pgm", "colorize-pgm", "train-no-gt", "train-no-manifest",
+        "disparity-no-view", "disparity-center-only", "gc-theta", "synth-scenes",
+        "synth-layers", "synth-disp-min", "synth-width", "train-epochs"])
+def test_error_branches_exit_one_with_one_error_line(tmp_path, capsys, argv, what):
+    data = _synth(tmp_path)
+    paths = {"data": data, "scene": data / "scene_0000", "no_gt": tmp_path / "no_gt",
+             "center_only": tmp_path / "center_only"}
+    shutil.copytree(data, paths["no_gt"])
+    (paths["no_gt"] / "scene_0000" / "gt.pfm").unlink()
+    paths["center_only"].mkdir()
+    shutil.copy(paths["scene"] / "center.pgm", paths["center_only"])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(argv + ["--out", str(out / "net.mfn" if argv[0] == "train" else out)]) == 1
+    _assert_plain_error(capsys, what.format(**paths))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, what",
     [
@@ -806,6 +841,40 @@ def test_disparity_d_max_past_the_image_writes_the_same_map(tmp_path):
         assert f"d_max={d_max}\n" in (out / "run.txt").read_text()
         outs[d_max] = (out / "disp.pfm").read_bytes()
     assert outs["20000"] == outs["15"]
+
+
+# sha256 of the files `cost` and `gc` write at --d-max 20 on the 16x12
+# scene, whose views all leave the frame from disparity 16 on (32 on gc's
+# grid upscaled x2), recorded before the matchers' slice stream learned to
+# stop there: the volumes store LARGE_COST in the slices it does not reach
+_PAST_THE_FRAME = {
+    ("cost", "sad"): {
+        "left": "dddb4a97b3c9ed38d41127e90be8f0a6f291449c0301797d70716f063fcbdd40",
+        "right": "c783cb293c7c4ced94602c15fa8967e944222b3459c0924fdb608cbb305f51dd",
+        "top": "09156bec90fe011869736ac923392c1b3818e47c9048e1012c97e37a097c7a9b",
+        "bottom": "70f3289a378972851c90164fe1bfa1279b4445e81c029d4ddcd67e6e8804ac7d",
+    },
+    ("cost", "bt"): {
+        "left": "f6ce1da36906d009e07ee688a05e878dc83e77d32ce190c6a11757e31a16246b",
+        "right": "a44bd66d01c646790188fc5eb5c94c7d0c1403c95441a66e10f073136da278a8",
+        "top": "660add8312edb06ce26f905ef9f93c045ca383b51f317ecf1d3718ea52514f65",
+        "bottom": "8ea1f1d6002e47d174945b696b79cfcaf1c937b2bebecbaa7dff8fba3220791e",
+    },
+    ("gc", "bt"): {"disp": "c6c7a23621c3ff457fcb848bda60ccec045a5fb4178d2b87655e2831eb9571ab"},
+}
+
+
+@pytest.mark.parametrize("command, matcher", sorted(_PAST_THE_FRAME))
+def test_d_max_past_the_frame_output_digests(tmp_path, command, matcher):
+    data = _synth(tmp_path)
+    out = tmp_path / "out"
+    assert run([command, "--in", str(data / "scene_0000"), "--matcher", matcher, "--d-min", "0",
+                "--d-max", "20", "--out", str(out)]) == 0
+    got = {
+        path.stem.removeprefix("cost_"): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.glob("*.pfm" if command == "gc" else "*.mcv")
+    }
+    assert got == _PAST_THE_FRAME[command, matcher]
 
 
 def test_missing_input_reports_error(capsys):

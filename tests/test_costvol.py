@@ -355,19 +355,11 @@ def test_matchers_write_contract_costs_on_signed_zero_pixels(direction, matcher,
     ref, target = Image(pixels[0]), Image(pixels[1])
     assert np.signbit(ref.pixels).any() and np.signbit(target.pixels).any()
     p = BlockMatchParams(rho=1, d_min=0, d_max=13)
-    write = costvol._writers(MultiscopicSet(ref, [(direction, target)]), matcher, p)[0][0]
-    # the row dtype of the one-view set names the path SAD took; an exact
-    # writer's uint32 slices hold its float32 slices' values
-    rows = next(multiscopic_slices(MultiscopicSet(ref, [(direction, target)]), matcher, p))
-    assert rows[0].dtype == (np.uint32 if exact else np.float32)
-    out = np.empty(ref.pixels.shape, dtype=np.float32)
-    ints = np.empty(ref.pixels.shape, dtype=np.uint32)
-    for k in range(14):
-        write(k, out)
-        costvol.check_costs(out, f"slice {k}")
-        if exact:
-            write(k, ints)
-            assert ints.astype(np.float32).tobytes() == out.tobytes()
+    # the row dtype of the one-view set names the path SAD took
+    for k, rows in enumerate(multiscopic_slices(MultiscopicSet(ref, [(direction, target)]),
+                                                matcher, p)):
+        assert rows[0].dtype == (np.uint32 if exact else np.float32)
+        costvol.check_costs(rows[0].astype(np.float32), f"slice {k}")
 
 
 def test_multiscopic_slices_are_uint32_when_every_sad_writer_is_exact(tmp_path):
@@ -390,6 +382,32 @@ def test_multiscopic_slices_are_uint32_when_every_sad_writer_is_exact(tmp_path):
                               ("sad", one_view, BlockMatchParams(rho=128, d_min=0, d_max=0))]:
         rows = next(multiscopic_slices(views, matcher, q))
         assert [row.dtype for row in rows] == [np.float32] * len(views.surround)
+
+
+# (views, extent) on a 6x9 image: the largest extent along the views'
+# shift axes
+_FRAMES = [((Direction.LEFT, Direction.RIGHT), 9), ((Direction.TOP, Direction.BOTTOM), 6),
+           ((Direction.BOTTOM, Direction.LEFT), 9)]
+
+
+@pytest.mark.parametrize("d_min, d_max", [(0, 3), (2, 40), (8, 40), (9, 12), (30, 30)])
+@pytest.mark.parametrize("views, extent", _FRAMES, ids=["horizontal", "vertical", "mixed"])
+@pytest.mark.parametrize("matcher", ["sad", "bt"])
+def test_stream_ends_where_every_view_has_left_the_frame(matcher, views, extent, d_min, d_max):
+    # d_min's list is yielded even when it is past every frame; the volumes
+    # hold every disparity of the range, the oracle's bytes
+    rng = np.random.default_rng(70 + d_min)
+    center = _int_image(rng, 6, 9)
+    mset = MultiscopicSet(center, [(d, _int_image(rng, 6, 9)) for d in views])
+    p = BlockMatchParams(rho=1, d_min=d_min, d_max=d_max)
+    lists = sum(1 for _ in multiscopic_slices(mset, matcher, p))
+    assert lists == max(1, min(p.num_disparities, extent - d_min))
+    for (direction, img), vol in zip(mset.surround, multiscopic_volumes(mset, matcher, p)):
+        if matcher == "sad":
+            want = sad_oracle(center.pixels, img.pixels, direction.value, 1, d_min, d_max)
+        else:
+            want = bt_oracle(center.pixels, img.pixels, direction.value, d_min, d_max)
+        assert vol.costs.tobytes() == want.tobytes(), direction
 
 
 # int16 images (rho 2 and 7) and int32 images (rho 8) on each integer

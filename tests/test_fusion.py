@@ -602,6 +602,11 @@ def test_wta_slices_refuses_unclean_costs(bad, k):
         wta_slices(slices, 1)
 
 
+def test_wta_slices_needs_a_slice():
+    with pytest.raises(InputError, match="WTA needs at least one cost slice"):
+        wta_slices([], 0)
+
+
 @_UNCLEAN
 def test_wta_disparity_refuses_unclean_costs(bad):
     vol = _vol(np.ones((3, 2, 4)))

@@ -89,7 +89,7 @@ def test_conv3d_matches_scalar_oracle():
             x = rng.standard_normal(shape).astype(dtype)
             w = rng.standard_normal((3, shape[0], 3, 3, 3)).astype(dtype)
             b = rng.standard_normal(3).astype(dtype)
-            got, _ = conv3d_forward(x, w, b, stride=stride, pad=1)
+            got, _ = conv3d_forward(x, w, b, stride=stride)
             want = conv3d_oracle(x, w, b, stride=stride, pad=1)
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
@@ -135,7 +135,7 @@ _BLOCKED_CASES = [
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv3d_across_column_blocks(c_in, c_out, dims, stride, dtype):
     shape = (c_in,) + dims
-    span = layers._phase_layout(shape, 3, stride, 1)[2]
+    span = layers._phase_layout(shape, 3, stride)[2]
     for channels in (c_in, max(c_in, c_out)):
         blocks = layers._blocks(span, channels, dtype)
         assert len(blocks) >= 3 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
@@ -343,6 +343,9 @@ def test_normalize_volume_clamps_then_standardizes():
     assert std[1, 0, 1] == std[1, 0, 0]
     flat = normalize_volume(_vol(np.full((2, 1, 1), 4.0, dtype=np.float32)))
     assert (flat == 0).all()
+    # no finite cost to clamp to: every cell conditions to zero
+    blank = normalize_volume(_vol(np.full((2, 1, 3), LARGE_COST, dtype=np.float32)))
+    assert blank.dtype == np.float32 and (blank == 0).all()
 
 
 # --------------------------------------------------------------------- loss

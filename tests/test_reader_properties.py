@@ -268,6 +268,10 @@ def test_hostile_headers_are_rejected_in_bounded_memory(tmp_path):
         "pf.pfm": b"Pf\n%d %d\n-1\n" % (_HUGE, _HUGE) + bytes(16),
         "dmax.mcv": struct.pack("<4siiii", b"MCV1", 0, 2**31 - 1, 64, 64) + bytes(16),
         "layers.mfn": b"MFN1" + struct.pack("<II", 2, 2**32 - 1) + bytes(64),
+        # 3 MiB of separators before a bad width: a header scanner that
+        # kept state per separator would need far more than the cap
+        "spaces.pgm": b"P2" + b" " * (3 << 20) + b"x",
+        "comments.pgm": b"P2" + b"#\n" * (3 << 19) + b"x",
     }
     paths = []
     for name, data in hostile.items():
@@ -285,4 +289,4 @@ def test_hostile_headers_are_rejected_in_bounded_memory(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _BOUNDED_READER, *paths],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["bounded"] + ["rejected"] * 6 + ["decoded"] * 3, proc.stdout
+    assert proc.stdout.split() == ["bounded"] + ["rejected"] * 8 + ["decoded"] * 3, proc.stdout
