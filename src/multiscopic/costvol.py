@@ -14,17 +14,19 @@ costs have equal bits and the uint32 order of the bits is the float order.
 
 Each SAD cost equals the float32 sum of its block's absolute differences
 added in row-major order.  The matchers are set up once per view set and
-run in one loop, multiscopic_slices, which streams the set's cost dtype
-(uint32 on the exact path below, whose costs are integers, else float32)
-and ends where every view has left the frame.  Each volume is that stream
-stored in float32 (multiscopic_volumes; sad_cost_volume and bt_cost_volume
-store a one-view set's).  SAD picks its summation once for the set: when
-every image is integer-valued (every PGM input) and (2*rho+1)^2 * 255 <
-2^24, every block sum is an integer that float32 holds exactly, so blocks
-are summed in integers, separably, rows then columns, each by doubling (3
-adds per axis at rho 2): uint16 for rho <= 7, uint32 up to rho 127.  Any
-other set (one PPM luma, upscaled `gc` or float image in it, or rho >=
-128) is summed in float32 in the row-major order itself.
+run in one loop, multiscopic_slices, which owns the frame: it writes
+LARGE_COST outside each view's in-frame window, has the view's matcher
+cost the window alone, streams the set's cost dtype (uint32 on the exact
+path below, whose costs are integers, else float32) and ends where every
+view has left the frame.  Each volume is that stream stored in float32
+(multiscopic_volumes; sad_cost_volume and bt_cost_volume store a one-view
+set's).  SAD picks its summation once for the set: when every image is
+integer-valued (every PGM input) and (2*rho+1)^2 * 255 < 2^24, every
+block sum is an integer that float32 holds exactly, so blocks are summed
+in integers, separably, rows then columns, each by doubling (3 adds per
+axis at rho 2): uint16 for rho <= 7, uint32 up to rho 127.  Any other set
+(one PPM luma, upscaled `gc` or float image in it, or rho >= 128) is
+summed in float32 in the row-major order itself.
 """
 
 from __future__ import annotations
@@ -136,27 +138,13 @@ def check_volumes(volumes: list[CostVolume], caller: str, names: list | None = N
             )
 
 
-def _inbounds_window(height: int, width: int, ox: int, oy: int) -> tuple[slice, slice]:
-    """Rows and columns where (x + ox, y + oy) stays inside the image; the
-    slices are empty when the shift leaves the frame."""
-    rows = slice(max(0, -oy), max(0, min(height, height - oy)))
-    cols = slice(max(0, -ox), max(0, min(width, width - ox)))
-    return rows, cols
-
-
-def _fill_outside(out: np.ndarray, rows: slice, cols: slice) -> None:
-    """Write LARGE_COST to every cell of out outside the rows x cols window."""
-    out[: rows.start] = LARGE_COST
-    out[rows.stop :] = LARGE_COST
-    out[:, : cols.start] = LARGE_COST
-    out[:, cols.stop :] = LARGE_COST
-
-
-# A matcher set up for one view of a set: write(k, out) stores the (H, W)
-# costs of disparity d_min + k in out, every cell of it, in the set's cost
-# dtype (uint32 on SAD's exact path, else float32).  The writers of a set
-# share their buffers and run one after another.
-SliceWriter = Callable[[int, np.ndarray], None]
+# A matcher set up for one view of a set: write(ox, oy, rows, cols, dst)
+# stores in dst, the rows x cols window of a slice, the costs of the center
+# cells whose samples (x + ox, y + oy) lie inside the view, in the set's
+# cost dtype (uint32 on SAD's exact path, else float32).  The window is
+# never empty; multiscopic_slices fills the rest of the slice.  The writers
+# of a set share their buffers and run one after another.
+SliceWriter = Callable[[int, int, slice, slice, np.ndarray], None]
 
 # A view set's writers, in set order, and the dtype their costs are exact in.
 Writers = tuple[list[SliceWriter], type]
@@ -187,21 +175,19 @@ def _box_sums(src: np.ndarray, bufs: list[np.ndarray], length: int, step: int, n
     return adds, cur
 
 
-def _sad_writers(
-    center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
-) -> Writers:
-    """SAD's writers for the views of one set.
+def _sad_writers(center: Image, targets: list[Image], p: BlockMatchParams) -> Writers:
+    """SAD's writers for the target views of one set.
 
     Block coordinates clamp at image borders: every image is edge-padded by
-    rho, once.  Each target is laid out as one flat run with room for
-    min(d_max, span) shifts at both ends, where span is the image extent on
-    the shift axis, so the copy is bounded by the image and not by d_max.
-    Each disparity's shifted target is then a contiguous slice of that run;
-    a kept cell's block reads only the padded rows it would read in the
-    target itself, and a shift of span or more leaves the frame and gives
-    an all-LARGE_COST slice without reading the target.  Each slice takes
-    one absolute-difference plane and sums its blocks by one list of adds,
-    built once for the set over buffers the writers share.
+    rho, once, and read as one flat run of n cells, pw = width + 2*rho to a
+    row.  A shift (ox, oy) moves the target run by s = oy*pw + ox cells, and
+    a kept cell's block reads only the difference cells i in
+    [max(0, -s), min(n, n - s)), whose target cell i + s lies inside the
+    padded target; so each slice takes the absolute differences over that
+    overlap alone, straight from the target's run.  A difference cell
+    outside it holds a finite value from an earlier slice (the plane starts
+    at zero) that is summed but never kept.  The blocks are summed by one
+    list of adds, built once for the set over buffers the writers share.
 
     Every cell equals the float32 sum of its block in row-major order (dy
     outer, dx inner), so a scalar oracle with that order reproduces the
@@ -228,7 +214,7 @@ def _sad_writers(
     height, width = center.pixels.shape
     pw = width + 2 * r
     check_size(f"rho {r}: the image padded by rho", (height + 2 * r, pw), center.pixels.dtype)
-    pads = [np.pad(img.pixels, r, mode="edge") for img in [center] + [img for _, img in views]]
+    pads = [np.pad(img.pixels, r, mode="edge") for img in [center, *targets]]
     bound = (2 * r + 1) ** 2 * 255
     signed, unsigned = (np.int16, np.uint16) if bound < 2**16 else (np.int32, np.uint32)
     ints = [pad.astype(signed) for pad in pads] if bound < 2**24 else []
@@ -239,7 +225,7 @@ def _sad_writers(
     # shift by (dy, dx) is the run started dy*pw + dx later.  A run's
     # padding columns (u >= width) are summed too and never read.
     a_run = pads[0].ravel()
-    diff = np.empty_like(a_run)
+    diff = np.zeros_like(a_run)
     if exact:
         flat = diff.view(unsigned)
         bufs = [np.empty_like(flat) for _ in range(2)]
@@ -257,38 +243,25 @@ def _sad_writers(
             sums = run
     kept = sums[: height * pw].reshape(height, pw)[:, :width]
 
-    def writer(direction: Direction, b_pad: np.ndarray) -> SliceWriter:
-        step_x, step_y = direction.offset(1)
-        reach = min(p.d_max, width if step_x else height)
-        # room for every shift at both ends, read only for cells not kept
-        slack = reach * (abs(step_x) + abs(step_y) * pw)
-        b_run = np.zeros(2 * slack + b_pad.size, dtype=b_pad.dtype)
-        b_run[slack : slack + b_pad.size] = b_pad.ravel()
-
-        def write(k: int, out: np.ndarray) -> None:
-            ox, oy = direction.offset(p.d_min + k)
-            rows, cols = _inbounds_window(height, width, ox, oy)
-            _fill_outside(out, rows, cols)
-            if rows.start >= rows.stop or cols.start >= cols.stop:
-                return
-            start = slack + oy * pw + ox
-            np.subtract(a_run, b_run[start : start + a_run.size], out=diff)
-            np.abs(diff, out=diff)
+    def writer(b_run: np.ndarray) -> SliceWriter:
+        def write(ox: int, oy: int, rows: slice, cols: slice, dst: np.ndarray) -> None:
+            s = oy * pw + ox
+            lo, hi = max(0, -s), min(diff.size, diff.size - s)
+            np.subtract(a_run[lo:hi], b_run[lo + s : hi + s], out=diff[lo:hi])
+            np.abs(diff[lo:hi], out=diff[lo:hi])
             for a, b, total in adds:
                 np.add(a, b, out=total)
-            out[rows, cols] = kept[rows, cols]
+            dst[...] = kept[rows, cols]
 
         return write
 
-    writers = [writer(direction, pad) for (direction, _), pad in zip(views, pads[1:])]
+    writers = [writer(pad.ravel()) for pad in pads[1:]]
     return writers, np.uint32 if exact else np.float32
 
 
-def _bt_writers(
-    center: Image, views: list[tuple[Direction, Image]], p: BlockMatchParams
-) -> Writers:
-    """BT's writers for the views of one set, over one converted center and
-    one gap plane; their dtype is float32.
+def _bt_writers(center: Image, targets: list[Image], p: BlockMatchParams) -> Writers:
+    """BT's writers for the target views of one set, over one converted
+    center and one gap plane; their dtype is float32.
 
     BT is the sampling-insensitive pixel dissimilarity against the target
     image.  Around each target sample q the half-sample candidates
@@ -296,12 +269,12 @@ def _bt_writers(
     [I_min, I_max] (offsets clamp at borders); the cost is
     max{0, ref - I_max, I_min - ref}, zero whenever the reference intensity
     lies inside the interval.  One-sided: only the target is interpolated.
-    The block radius is not used.
+    No field of p is used.
 
     The neighbour samples are slices of one copy of each target edge-padded
-    by 1.  Each disparity's cost is computed only on its in-bounds window
-    (the cells it keeps), where the shifted interval planes are plain slices
-    of lo and hi: no shift there clamps, so no padding is needed.
+    by 1.  On the in-frame window a writer fills, the shifted interval
+    planes are plain slices of lo and hi: no shift there clamps, so no
+    padding is needed.
     """
     # adding +0.0 turns a -0.0 pixel into +0.0, so that no difference below
     # is -0.0 and no cost either
@@ -310,7 +283,7 @@ def _bt_writers(
     zero = np.float32(0.0)
     below = np.empty_like(a)  # for I_min - ref
 
-    def writer(direction: Direction, target: Image) -> SliceWriter:
+    def writer(target: Image) -> SliceWriter:
         b = target.pixels + np.float32(0.0)
         b_pad = np.pad(b, 1, mode="edge")
         cand = np.empty((len(BT_NEIGHBORHOOD), height, width), dtype=np.float32)
@@ -320,16 +293,10 @@ def _bt_writers(
         lo = cand.min(axis=0)
         hi = cand.max(axis=0)
 
-        def write(k: int, out: np.ndarray) -> None:
-            ox, oy = direction.offset(p.d_min + k)
-            rows, cols = _inbounds_window(height, width, ox, oy)
-            _fill_outside(out, rows, cols)
-            if rows.start >= rows.stop or cols.start >= cols.stop:
-                return
+        def write(ox: int, oy: int, rows: slice, cols: slice, dst: np.ndarray) -> None:
             moved = (slice(rows.start + oy, rows.stop + oy), slice(cols.start + ox, cols.stop + ox))
             a_w = a[rows, cols]
-            dst = out[rows, cols]
-            lo_gap = below[: rows.stop - rows.start, : cols.stop - cols.start]
+            lo_gap = below[: dst.shape[0], : dst.shape[1]]
             np.subtract(a_w, hi[moved], out=dst)
             np.subtract(lo[moved], a_w, out=lo_gap)
             np.maximum(dst, lo_gap, out=dst)
@@ -337,7 +304,7 @@ def _bt_writers(
 
         return write
 
-    return [writer(direction, img) for direction, img in views], np.float32
+    return [writer(img) for img in targets], np.float32
 
 
 _MATCHERS = {"sad": _sad_writers, "bt": _bt_writers}
@@ -347,16 +314,21 @@ def _writers(mset: MultiscopicSet, matcher: str, p: BlockMatchParams) -> Writers
     """The matcher's writers for the n views of the set."""
     if matcher not in _MATCHERS:
         raise InputError(f"matcher must be one of {sorted(_MATCHERS)}, got {matcher!r}")
-    return _MATCHERS[matcher](mset.center, mset.surround, p)
+    return _MATCHERS[matcher](mset.center, [img for _, img in mset.surround], p)
 
 
 def multiscopic_slices(
     mset: MultiscopicSet, matcher: str, p: BlockMatchParams
 ) -> Iterator[list[np.ndarray]]:
     """Per disparity, in order, the list of the n views' cost slices in set
-    order, without ever holding a volume.  A shift of extent, the largest
-    image extent along the views' shift axes, leaves every view's frame, so
-    every slice from there on is all LARGE_COST: the stream yields
+    order, without ever holding a volume.
+
+    At disparity d a view's in-frame window is the rows x cols of center
+    cells whose samples (x, y) + offset(d) lie inside the view.  Its slice
+    holds LARGE_COST outside that window, and the view's writer fills the
+    window when it is not empty.  A shift of extent, the largest image
+    extent along the views' shift axes, leaves every view's frame, so every
+    slice from there on is all LARGE_COST: the stream yields
     max(1, min(D, extent - d_min)) lists, d_min's always among them.
 
     The slices, in the set's cost dtype (uint32 on SAD's exact path, else
@@ -365,15 +337,23 @@ def multiscopic_slices(
     list.
     """
     extent = max(mset.width if d.offset(1)[0] else mset.height for d, _ in mset.surround)
-    p = BlockMatchParams(p.rho, p.d_min, max(p.d_min, min(p.d_max, extent - 1)))
     writers, dtype = _writers(mset, matcher, p)
-    rows = list(np.empty((len(writers),) + mset.center.pixels.shape, dtype=dtype))
+    height, width = mset.center.pixels.shape
+    outs = list(np.empty((len(writers), height, width), dtype=dtype))
 
     def stream():
-        for k in range(p.num_disparities):
-            for row, write in zip(rows, writers):
-                write(k, row)
-            yield rows
+        for d in range(p.d_min, max(p.d_min, min(p.d_max, extent - 1)) + 1):
+            for out, (direction, _), write in zip(outs, mset.surround, writers):
+                ox, oy = direction.offset(d)
+                rows = slice(max(0, -oy), max(0, min(height, height - oy)))
+                cols = slice(max(0, -ox), max(0, min(width, width - ox)))
+                out[: rows.start] = LARGE_COST
+                out[rows.stop :] = LARGE_COST
+                out[:, : cols.start] = LARGE_COST
+                out[:, cols.stop :] = LARGE_COST
+                if rows.start < rows.stop and cols.start < cols.stop:
+                    write(ox, oy, rows, cols, out[rows, cols])
+            yield outs
 
     return stream()
 

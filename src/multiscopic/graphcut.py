@@ -108,6 +108,22 @@ def _pair_smoothness(fa: np.ndarray, fb: np.ndarray, w: np.ndarray, cutoff: int)
     return np.where(both, w * v, 0.0)
 
 
+def _terms(labels: np.ndarray, c_gc: CostVolume, center: Image, p: GcParams, weights):
+    """The energy's terms at a labeling: the checked labels, the pair
+    weights (pair_weights when none are given), each pixel's float64 unary
+    term (its data cost, or K where OCCLUDED) and the smoothness terms s_h,
+    s_v of its horizontal and vertical pairs."""
+    labels = _check_labels(labels, c_gc)
+    w_h, w_v = pair_weights(center, p) if weights is None else weights
+    assigned = labels != OCCLUDED
+    yy, xx = np.nonzero(assigned)
+    unary = np.full(labels.shape, p.k_occlusion, dtype=np.float64)
+    unary[assigned] = c_gc.costs[labels[assigned] - c_gc.d_min, yy, xx]
+    s_h = _pair_smoothness(labels[:, :-1], labels[:, 1:], w_h, p.d_cutoff)
+    s_v = _pair_smoothness(labels[:-1, :], labels[1:, :], w_v, p.d_cutoff)
+    return labels, (w_h, w_v), unary, s_h, s_v
+
+
 def gc_energy(
     labels: np.ndarray,
     c_gc: CostVolume,
@@ -116,19 +132,11 @@ def gc_energy(
     weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Total labeling energy (data + occlusion + smoothness), in float64."""
-    labels = _check_labels(labels, c_gc)
+    labels, _, unary, s_h, s_v = _terms(labels, c_gc, center, p, weights)
     assigned = labels != OCCLUDED
-    yy, xx = np.nonzero(assigned)
-    data = float(
-        c_gc.costs[labels[yy, xx] - c_gc.d_min, yy, xx].astype(np.float64).sum()
-    )
+    data = float(unary[assigned].sum())
     occ = p.k_occlusion * float(np.count_nonzero(~assigned))
-    w_h, w_v = pair_weights(center, p) if weights is None else weights
-    smooth = float(
-        _pair_smoothness(labels[:, :-1], labels[:, 1:], w_h, p.d_cutoff).sum()
-        + _pair_smoothness(labels[:-1, :], labels[1:, :], w_v, p.d_cutoff).sum()
-    )
-    return data + occ + smooth
+    return data + occ + float(s_h.sum() + s_v.sum())
 
 
 class MoveReuse:
@@ -183,7 +191,7 @@ def expansion_move(
     last solve of alpha in reuse left, and leaves its own there.  The move
     is the same as a fresh solve's.
     """
-    labels = _check_labels(labels, c_gc)
+    labels, (w_h, w_v), keep, s_h, s_v = _terms(labels, c_gc, center, p, weights)
     if not c_gc.d_min <= alpha <= c_gc.d_max:
         raise InputError(f"alpha {alpha} outside volume range")
     height, width = labels.shape
@@ -191,21 +199,14 @@ def expansion_move(
         reuse = MoveReuse(height, width)
     elif reuse.shape != labels.shape:
         raise InputError(f"reuse was made for a {reuse.shape} grid, not {labels.shape}")
-    w_h, w_v = pair_weights(center, p) if weights is None else weights
-
-    assigned = labels != OCCLUDED
-    yy, xx = np.nonzero(assigned)
-    keep = np.full((height, width), p.k_occlusion, dtype=np.float64)
-    keep[assigned] = c_gc.costs[labels[assigned] - c_gc.d_min, yy, xx]
     switch = c_gc.costs[alpha - c_gc.d_min].astype(np.float64)
 
     cap = []
-    for sl_p, sl_q, w in (
-        (np.s_[:, :-1], np.s_[:, 1:], w_h),
-        (np.s_[:-1, :], np.s_[1:, :], w_v),
+    for sl_p, sl_q, w, a in (
+        (np.s_[:, :-1], np.s_[:, 1:], w_h, s_h),
+        (np.s_[:-1, :], np.s_[1:, :], w_v, s_v),
     ):
         fp, fq = labels[sl_p], labels[sl_q]
-        a = _pair_smoothness(fp, fq, w, p.d_cutoff)
         b = _pair_smoothness(fp, alpha, w, p.d_cutoff)
         c = _pair_smoothness(alpha, fq, w, p.d_cutoff)
         keep[sl_p] += a
@@ -246,36 +247,28 @@ def occlusion_pass(
     scalar order (left, right, up, down) so its floats are the scan's; the
     raster scan then visits only the pixels that pass it.
     """
-    labels = _check_labels(labels, c_gc)
+    labels, _, unary, s_h, s_v = _terms(labels, c_gc, center, p, weights)
     height, width = labels.shape
-    w_h, w_v = pair_weights(center, p) if weights is None else weights
     out = labels.copy()
-    costs = c_gc.costs
-    s_h = _pair_smoothness(labels[:, :-1], labels[:, 1:], w_h, p.d_cutoff)
-    s_v = _pair_smoothness(labels[:-1, :], labels[1:, :], w_v, p.d_cutoff)
     all_smooth = np.zeros((height, width))
     all_smooth[:, 1:] += s_h
     all_smooth[:, :-1] += s_h
     all_smooth[1:, :] += s_v
     all_smooth[:-1, :] += s_v
-    assigned = labels != OCCLUDED
-    yy, xx = np.nonzero(assigned)
-    own_cost = costs[labels[assigned] - c_gc.d_min, yy, xx].astype(np.float64)
-    rest = np.full((height, width), np.inf)  # K - c_gc(p, f_p); inf where OCCLUDED
-    rest[assigned] = p.k_occlusion - own_cost
+    rest = np.where(labels != OCCLUDED, p.k_occlusion - unary, np.inf)  # K - c_gc(p, f_p)
     flips = 0
     for y, x in zip(*np.nonzero(rest - all_smooth < -_IMPROVE_EPS)):
-        f = out[y, x]
+        # a pair term with a neighbor not yet flipped is the input's
         smooth = 0.0
         if x > 0 and out[y, x - 1] != OCCLUDED:
-            smooth += w_h[y, x - 1] * min(abs(f - out[y, x - 1]), p.d_cutoff)
+            smooth += s_h[y, x - 1]
         if x + 1 < width and out[y, x + 1] != OCCLUDED:
-            smooth += w_h[y, x] * min(abs(f - out[y, x + 1]), p.d_cutoff)
+            smooth += s_h[y, x]
         if y > 0 and out[y - 1, x] != OCCLUDED:
-            smooth += w_v[y - 1, x] * min(abs(f - out[y - 1, x]), p.d_cutoff)
+            smooth += s_v[y - 1, x]
         if y + 1 < height and out[y + 1, x] != OCCLUDED:
-            smooth += w_v[y, x] * min(abs(f - out[y + 1, x]), p.d_cutoff)
-        if p.k_occlusion - float(costs[f - c_gc.d_min, y, x]) - smooth < -_IMPROVE_EPS:
+            smooth += s_v[y, x]
+        if rest[y, x] - smooth < -_IMPROVE_EPS:
             out[y, x] = OCCLUDED
             flips += 1
     return out, flips
@@ -298,9 +291,8 @@ def upscale_image(img: Image, factor: int) -> Image:
     x1 = np.minimum(x0 + 1, width - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    top = a[y0][:, x0] * (1 - wx) + a[y0][:, x1] * wx
-    bot = a[y1][:, x0] * (1 - wx) + a[y1][:, x1] * wx
-    return Image((top * (1 - wy) + bot * wy).astype(np.float32))
+    rows = a[:, x0] * (1 - wx) + a[:, x1] * wx
+    return Image((rows[y0] * (1 - wy) + rows[y1] * wy).astype(np.float32))
 
 
 def _recheck_weights(

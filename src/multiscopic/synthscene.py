@@ -207,11 +207,13 @@ class DatasetRanges:
             if not lo <= hi:
                 raise InputError(f"{name} range ({lo}, {hi}) needs min <= max")
         if self.layer_count[0] < 1:
-            raise InputError("need at least one layer")
+            raise InputError(f"layer_count range {self.layer_count}: need at least one layer")
         if self.disparity[0] < 0:
-            raise InputError("disparities must be >= 0")
+            raise InputError(f"disparity range {self.disparity}: disparities must be >= 0")
         if self.width < 2 or self.height < 2:
-            raise InputError("scene must be at least 2x2")
+            raise InputError(
+                f"width {self.width}, height {self.height}: scene must be at least 2x2"
+            )
         # a scene's largest array is a layer texture: the frame widened on
         # each side by the largest disparity generate_scene accepts
         margin = min(self.disparity[1], self.width // 4)
@@ -270,7 +272,7 @@ def generate_dataset(
     disp_max, the scene and its disparity) with nothing on disk.
     """
     if n < 1:
-        raise InputError("dataset size must be >= 1")
+        raise InputError(f"scenes {n}: dataset size must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     for name, spec, _ in _scene_draws(ranges, n, seed):

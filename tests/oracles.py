@@ -147,32 +147,57 @@ def expansion_oracle(labels, alpha, costs, d_min, k_occ, w_h, w_v, cutoff, occlu
     """
     h, w = labels.shape
     pix = [(y, x) for y in range(h) for x in range(w)]
-
-    def energy(lab):
-        e = 0.0
-        for y, x in pix:
-            f = lab[y][x]
-            e += k_occ if f == occluded else float(costs[f - d_min, y, x])
-        for y in range(h):
-            for x in range(w - 1):
-                a, b = lab[y][x], lab[y][x + 1]
-                if a != occluded and b != occluded:
-                    e += w_h[y, x] * min(abs(a - b), cutoff)
-        for y in range(h - 1):
-            for x in range(w):
-                a, b = lab[y][x], lab[y + 1][x]
-                if a != occluded and b != occluded:
-                    e += w_v[y, x] * min(abs(a - b), cutoff)
-        return e
-
     best = float("inf")
     for bits in itertools.product((0, 1), repeat=len(pix)):
         lab = [[labels[y, x] for x in range(w)] for y in range(h)]
         for (y, x), bit in zip(pix, bits):
             if bit:
                 lab[y][x] = alpha
-        best = min(best, energy(lab))
+        best = min(best, energy_oracle(lab, costs, d_min, k_occ, w_h, w_v, cutoff, occluded))
     return best
+
+
+def energy_oracle(labels, costs, d_min, k_occ, w_h, w_v, cutoff, occluded=-1):
+    """Labeling energy by scalar loops: each pixel's data cost (k_occ where
+    occluded), then w * min(|a - b|, cutoff) for every horizontal and then
+    every vertical pair of assigned pixels.
+
+    labels: (H, W) ints, read as labels[y][x]; costs: (D, H, W).
+    """
+    h, w = len(labels), len(labels[0])
+    e = 0.0
+    for y in range(h):
+        for x in range(w):
+            f = labels[y][x]
+            e += k_occ if f == occluded else float(costs[f - d_min, y, x])
+    for y in range(h):
+        for x in range(w - 1):
+            a, b = labels[y][x], labels[y][x + 1]
+            if a != occluded and b != occluded:
+                e += w_h[y, x] * min(abs(a - b), cutoff)
+    for y in range(h - 1):
+        for x in range(w):
+            a, b = labels[y][x], labels[y + 1][x]
+            if a != occluded and b != occluded:
+                e += w_v[y, x] * min(abs(a - b), cutoff)
+    return e
+
+
+def pair_weights_oracle(center, theta, lambda1, lambda2):
+    """(w_h, w_v): lambda1 for a 4-neighbor pair whose center intensities
+    differ by less than theta, else lambda2; w_h[y, x] weights the pair
+    (x, y)-(x+1, y) and w_v[y, x] the pair (x, y)-(x, y+1)."""
+    h, w = center.shape
+    w_h, w_v = np.empty((h, w - 1)), np.empty((h - 1, w))
+    for y in range(h):
+        for x in range(w):
+            if x + 1 < w:
+                near = abs(float(center[y, x]) - float(center[y, x + 1])) < theta
+                w_h[y, x] = lambda1 if near else lambda2
+            if y + 1 < h:
+                near = abs(float(center[y, x]) - float(center[y + 1, x])) < theta
+                w_v[y, x] = lambda1 if near else lambda2
+    return w_h, w_v
 
 
 def conv3d_oracle(x, w, b, stride=1, pad=1):

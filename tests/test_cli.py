@@ -645,10 +645,13 @@ def _assert_plain_error(capsys, what):
     (["disparity", "--center", "{scene}/center.pgm"], "--left/--right/--top/--bottom"),
     (["disparity", "--in", "{center_only}"], "{center_only}: no directional views"),
     (["gc", "--in", "{scene}", "--theta", "0"], "theta"),
-    (["synth", "--scenes", "0"], "dataset size"),
-    (["synth", "--scenes", "1", "--layers-min", "0", "--layers-max", "0"], "layer"),
-    (["synth", "--scenes", "1", "--disp-min", "-1"], "disparities"),
-    (["synth", "--scenes", "1", "--width", "1"], "2x2"),
+    (["synth", "--scenes", "0"], "error: scenes 0: dataset size"),
+    (["synth", "--scenes", "1", "--layers-min", "0", "--layers-max", "0"],
+     "error: layer_count range (0, 0): need at least one layer"),
+    (["synth", "--scenes", "1", "--disp-min", "-1"],
+     "error: disparity range (-1, 12): disparities"),
+    (["synth", "--scenes", "1", "--width", "1"],
+     "error: width 1, height 64: scene must be at least 2x2"),
     # the settings are checked before the data: no manifest is looked for
     (["train", "--data", "{center_only}", "--epochs", "0"], "epochs"),
 ], ids=["eval-file-and-dir", "eval-pgm", "colorize-pgm", "train-no-gt", "train-no-manifest",

@@ -23,7 +23,7 @@ from multiscopic import graphcut
 from multiscopic.graphcut import _IMPROVE_EPS, _recheck_weights, pair_weights, upscale_image
 from multiscopic.synthscene import SceneLayer, SceneSpec, generate_scene
 
-from oracles import expansion_oracle, occlusion_oracle
+from oracles import energy_oracle, expansion_oracle, occlusion_oracle, pair_weights_oracle
 
 RNG = np.random.default_rng(77)
 
@@ -79,6 +79,35 @@ def test_energy_validates_labels():
         gc_energy(np.array([[1, 1]]), _vol(costs), _flat_center(2, 2), p)
     with pytest.raises(InputError):
         gc_energy(np.full((2, 2), 9), _vol(costs), _flat_center(2, 2), p)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["center-weights", "given-weights"])
+def test_energy_matches_scalar_oracle(given):
+    # seeded random labelings with OCCLUDED pixels on grids of 1 to 8 a side;
+    # weights from the center rule (integer intensities, so both sides see
+    # the same differences) or given explicitly
+    n_occluded = 0
+    for trial in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence([3300, trial]))
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        n_d = int(rng.integers(1, 6))
+        costs = rng.uniform(0, 50, size=(n_d, h, w)).astype(np.float32)
+        labels = rng.integers(2, 2 + n_d, size=(h, w))
+        labels[rng.random((h, w)) < rng.uniform(0.0, 0.5)] = OCCLUDED
+        lambda2 = float(rng.uniform(0, 5))
+        p = GcParams(k_occlusion=float(rng.uniform(0, 20)),
+                     lambda1=lambda2 + float(rng.uniform(0, 5)), lambda2=lambda2,
+                     theta=float(rng.integers(1, 60)), d_cutoff=int(rng.integers(1, 5)))
+        center = Image(rng.integers(0, 120, size=(h, w)).astype(np.float32))
+        if given:
+            weights = (rng.uniform(0, 9, size=(h, w - 1)), rng.uniform(0, 9, size=(h - 1, w)))
+        else:
+            weights = pair_weights_oracle(center.pixels, p.theta, p.lambda1, p.lambda2)
+        got = gc_energy(labels, _vol(costs, d_min=2), center, p, weights if given else None)
+        want = energy_oracle(labels, costs, 2, p.k_occlusion, *weights, p.d_cutoff, OCCLUDED)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), trial
+        n_occluded += int((labels == OCCLUDED).sum())
+    assert n_occluded > 100
 
 
 @pytest.mark.parametrize(
