@@ -7,10 +7,12 @@ The energy over a labeling f (integer disparity per pixel, or OCCLUDED) is
          + K * #{p : f_p = OCCLUDED}
          + sum_{4-neighbor pairs} w(p,q) * V(f_p, f_q)
 
-with V(a, b) = min(|a - b|, d_cutoff), V(OCCLUDED, .) = 0, and
-w(p,q) = lambda1 where the center intensities differ by less than theta
-(penalize breaks inside smooth regions more) else lambda2.  Uniqueness is
-structural: a labeling assigns exactly one label per center pixel.
+with V(a, b) = min(|a - b|, d_cutoff), V(OCCLUDED, .) = 0, and w(p,q) =
+lambda1 (a break inside a smooth region costs more) where p and q differ by
+less than theta, in float64, in every view that sees both, else lambda2
+(_weights, after Kolmogorov & Zabih, ECCV 2002).  pair_weights takes the
+center alone, _recheck_weights each view sampled at the labels too.
+Uniqueness is structural: a labeling assigns one label per center pixel.
 
 Each expansion move solves one min-cut exactly.  Convention: a pixel on the
 source side of the cut keeps its label, on the sink side it switches to
@@ -35,7 +37,7 @@ import numpy as np
 from .costvol import BlockMatchParams, CostVolume, multiscopic_volumes
 from .errors import InputError, check_size
 from .fusion import FusionStrategy, fuse, wta_disparity
-from .imagery import INVALID_DISPARITY, Direction, Image, MultiscopicSet, DisparityMap
+from .imagery import INVALID_DISPARITY, DisparityMap, Image, MultiscopicSet, bilinear
 from .maxflow import ArcLayout, FlowState, LayoutGraph, max_flow
 
 OCCLUDED = -1
@@ -79,16 +81,24 @@ class GcParams:
             raise InputError(f"seed must be >= 0, got {self.rng_seed}")
 
 
-def pair_weights(center: Image, p: GcParams) -> tuple[np.ndarray, np.ndarray]:
-    """lambda1/lambda2 weights for horizontal and vertical neighbor pairs.
+def _weights(
+    views: list[tuple[np.ndarray, np.ndarray]], p: GcParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 (w_h, w_v) over views, each a (float64 values, seen mask)
+    pair: lambda1 for a pair whose values differ by less than theta in every
+    view that sees both pixels, else lambda2.  w_h[y, x] weights the pair
+    (x,y)-(x+1,y) and w_v[y, x] the pair (x,y)-(x,y+1)."""
+    out = []
+    for sl_a, sl_b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :])):
+        near = [~(seen[sl_a] & seen[sl_b]) | (np.abs(vals[sl_a] - vals[sl_b]) < p.theta)
+                for vals, seen in views]
+        out.append(np.where(np.all(near, axis=0), p.lambda1, p.lambda2).astype(np.float64))
+    return tuple(out)
 
-    Returns (w_h, w_v): w_h[y, x] weights the pair (x,y)-(x+1,y) and
-    w_v[y, x] the pair (x,y)-(x,y+1).
-    """
-    a = center.pixels
-    w_h = np.where(np.abs(a[:, :-1] - a[:, 1:]) < p.theta, p.lambda1, p.lambda2)
-    w_v = np.where(np.abs(a[:-1, :] - a[1:, :]) < p.theta, p.lambda1, p.lambda2)
-    return w_h.astype(np.float64), w_v.astype(np.float64)
+
+def pair_weights(center: Image, p: GcParams) -> tuple[np.ndarray, np.ndarray]:
+    """_weights over the center image alone, which sees every pixel."""
+    return _weights([(center.pixels.astype(np.float64), np.ones(center.pixels.shape, bool))], p)
 
 
 def _check_labels(labels: np.ndarray, vol: CostVolume) -> np.ndarray:
@@ -281,52 +291,29 @@ def upscale_image(img: Image, factor: int) -> Image:
     of the pixels except that a -0.0 pixel comes out +0.0 (no PGM, PPM luma
     or synthesized image holds one).
     """
-    a = img.pixels.astype(np.float64)
-    height, width = a.shape
-    ys = np.arange(height * factor) / factor
-    xs = np.arange(width * factor) / factor
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, height - 1)
-    x1 = np.minimum(x0 + 1, width - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    rows = a[:, x0] * (1 - wx) + a[:, x1] * wx
-    return Image((rows[y0] * (1 - wy) + rows[y1] * wy).astype(np.float32))
+    height, width = img.pixels.shape
+    ys, xs = np.arange(height * factor) / factor, np.arange(width * factor) / factor
+    return Image(bilinear(img.pixels.astype(np.float64), ys, xs).astype(np.float32))
 
 
 def _recheck_weights(
     mset: MultiscopicSet, labels: np.ndarray, p: GcParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full multi-view weight rule: compare corresponding pixels in every
-    view at the current labels; lambda1 only when all views look similar."""
+    """_weights over the center, which sees every pixel, and each surrounding
+    view sampled at the labels, which sees an assigned pixel whose match
+    lies inside it."""
     height, width = labels.shape
-
-    def sampled(img: Image, direction: Direction | None) -> tuple[np.ndarray, np.ndarray]:
-        if direction is None:
-            return img.pixels.astype(np.float64), np.ones_like(labels, dtype=bool)
-        yy, xx = np.mgrid[0:height, 0:width]
-        d = np.where(labels == OCCLUDED, 0, labels)
+    yy, xx = np.mgrid[0:height, 0:width]
+    assigned = labels != OCCLUDED
+    d = np.where(assigned, labels, 0)
+    views = [(mset.center.pixels.astype(np.float64), np.ones(labels.shape, bool))]
+    for direction, img in mset.surround:
         unit_x, unit_y = direction.offset(1)
-        ox, oy = d * unit_x, d * unit_y
-        sy, sx = yy + oy, xx + ox
-        ok = (labels != OCCLUDED) & (sy >= 0) & (sy < height) & (sx >= 0) & (sx < width)
+        sy, sx = yy + d * unit_y, xx + d * unit_x
+        seen = assigned & (sy >= 0) & (sy < height) & (sx >= 0) & (sx < width)
         vals = img.pixels[np.clip(sy, 0, height - 1), np.clip(sx, 0, width - 1)]
-        return vals.astype(np.float64), ok
-
-    views = [sampled(mset.center, None)]
-    views += [sampled(img, direction) for direction, img in mset.surround]
-
-    def weight(sl_a, sl_b):
-        maxdiff = np.zeros(labels[sl_a].shape, dtype=np.float64)
-        for vals, ok in views:
-            both = ok[sl_a] & ok[sl_b]
-            maxdiff = np.maximum(maxdiff, np.where(both, np.abs(vals[sl_a] - vals[sl_b]), 0.0))
-        return np.where(maxdiff < p.theta, p.lambda1, p.lambda2).astype(np.float64)
-
-    w_h = weight(np.s_[:, :-1], np.s_[:, 1:])
-    w_v = weight(np.s_[:-1, :], np.s_[1:, :])
-    return w_h, w_v
+        views.append((vals.astype(np.float64), seen))
+    return _weights(views, p)
 
 
 def multiscopic_gc(

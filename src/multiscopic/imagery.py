@@ -168,6 +168,21 @@ def to_grayscale(color: ColorImage) -> Image:
     return Image(gray.astype(np.float32))
 
 
+def bilinear(grid: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """grid sampled at every (ys[i], xs[j]), all >= 0, by bilinear blending in
+    float64, the +1 neighbour clamped to the last row and column.  The blend
+    is separable, rows = g[:, x0]*(1-fx) + g[:, x1]*fx once per grid row, then
+    rows[y0]*(1-fy) + rows[y1]*fy: the 2-D formula (a*(1-fx) + b*fx)*(1-fy) +
+    (c*(1-fx) + d*fx)*fy rounds the same products and sums of the same
+    values, so every sample has its bits at about half the work."""
+    y0, x0 = ys.astype(np.intp), xs.astype(np.intp)
+    y1 = np.minimum(y0 + 1, grid.shape[0] - 1)
+    x1 = np.minimum(x0 + 1, grid.shape[1] - 1)
+    fy, fx = (ys - y0)[:, None], xs - x0
+    rows = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
+    return rows[y0] * (1 - fy) + rows[y1] * fy
+
+
 # Jet ramp anchors: blue -> cyan -> green -> yellow -> red, 4 linear segments.
 _JET_POS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _JET_RGB = np.array([[0.0, 0.0, 255.0], [0.0, 255.0, 255.0], [0.0, 255.0, 0.0],

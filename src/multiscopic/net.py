@@ -377,8 +377,8 @@ def train(
             bad = _non_finite_parameter(params)
             if bad is not None:
                 raise TrainingError(
-                    f"parameter {bad} non-finite after the Adam step at epoch {epoch}, "
-                    f"sample {int(idx)}"
+                    f"learning_rate {cfg.learning_rate:g}: parameter {bad} non-finite after the "
+                    f"Adam step at epoch {epoch}, sample {int(idx)}"
                 )
         log.append(float(np.mean(epoch_losses)))
     return net, log

@@ -8,12 +8,9 @@ shifted layers never run out of content.  Ground truth is geometric (the
 front-most layer per center pixel) and stays valid even where a pixel is
 hidden in every surrounding view.
 
-Layer textures are value noise, each octave a bilinear blend of a random
-lattice L done separably: rows = L[:, x0]*(1-fx) + L[:, x0+1]*fx once per
-lattice row, then rows[y0]*(1-fy) + rows[y0+1]*fy.  The 2-D formula
-(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy rounds the same float64
-products and sums of the same values, so every texel has its bits
-(tests/oracles.py holds it) at about half the work.
+Layer textures are value noise, each octave imagery.bilinear over a random
+lattice with 2 spare cells, so the blend never clamps and every texel has
+the 2-D formula's bits (tests/oracles.py holds it).
 
 read_views is the one reader of a view set, whether its files are a scene
 directory's (load_views) or named one by one (the CLI's --center/--left/...).
@@ -29,8 +26,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError, SpecError, check_size
-from .imagery import (ColorImage, Direction, DisparityMap, Image, MultiscopicSet, read_image,
-                      to_grayscale, write_image)
+from .imagery import (ColorImage, Direction, DisparityMap, Image, MultiscopicSet, bilinear,
+                      read_image, to_grayscale, write_image)
 
 VIEW_ORDER = (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)
 OCTAVES = 3  # value-noise octaves per layer texture
@@ -95,14 +92,7 @@ def _value_noise(rng: np.random.Generator, height: int, width: int,
         ny = height // cell + 2
         nx = width // cell + 2
         lattice = rng.random((ny, nx))
-        ys = np.arange(height) / cell
-        xs = np.arange(width) / cell
-        y0 = ys.astype(int)
-        x0 = xs.astype(int)
-        fy = (ys - y0)[:, None]
-        fx = xs - x0
-        rows = lattice[:, x0] * (1 - fx) + lattice[:, x0 + 1] * fx
-        out += amp * (rows[y0] * (1 - fy) + rows[y0 + 1] * fy)
+        out += amp * bilinear(lattice, np.arange(height) / cell, np.arange(width) / cell)
         total += amp
         amp *= 0.5
     return out / total
@@ -201,11 +191,14 @@ class DatasetRanges:
 
     def __post_init__(self):
         if not all(math.isfinite(s) and s >= 0 for s in self.noise_sigma):
-            raise InputError(f"noise sigma range {self.noise_sigma} must be finite and >= 0")
+            raise InputError(f"noise_sigma range {self.noise_sigma} must be finite and >= 0")
         for name in ("layer_count", "disparity", "noise_sigma", "base_cell", "flat_patches"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise InputError(f"{name} range ({lo}, {hi}) needs min <= max")
+            # sample_spec draws each integer with rng.integers, in int64
+            if name != "noise_sigma" and hi > np.iinfo(np.int64).max:
+                raise InputError(f"{name} range ({lo}, {hi}): max must be at most 2^63 - 1")
         if self.layer_count[0] < 1:
             raise InputError(f"layer_count range {self.layer_count}: need at least one layer")
         if self.disparity[0] < 0:

@@ -644,6 +644,8 @@ def _assert_plain_error(capsys, what):
     (["train", "--data", "{center_only}"], "{center_only}: no manifest.txt"),
     (["disparity", "--center", "{scene}/center.pgm"], "--left/--right/--top/--bottom"),
     (["disparity", "--in", "{center_only}"], "{center_only}: no directional views"),
+    (["disparity", "--center", "{scene}/gt.pfm", "--left", "{scene}/left.pgm"],
+     "{scene}/gt.pfm: expected a grayscale image"),
     (["gc", "--in", "{scene}", "--theta", "0"], "theta"),
     (["synth", "--scenes", "0"], "error: scenes 0: dataset size"),
     (["synth", "--scenes", "1", "--layers-min", "0", "--layers-max", "0"],
@@ -655,8 +657,8 @@ def _assert_plain_error(capsys, what):
     # the settings are checked before the data: no manifest is looked for
     (["train", "--data", "{center_only}", "--epochs", "0"], "epochs"),
 ], ids=["eval-file-and-dir", "eval-pgm", "colorize-pgm", "train-no-gt", "train-no-manifest",
-        "disparity-no-view", "disparity-center-only", "gc-theta", "synth-scenes",
-        "synth-layers", "synth-disp-min", "synth-width", "train-epochs"])
+        "disparity-no-view", "disparity-center-only", "disparity-pfm-center", "gc-theta",
+        "synth-scenes", "synth-layers", "synth-disp-min", "synth-width", "train-epochs"])
 def test_error_branches_exit_one_with_one_error_line(tmp_path, capsys, argv, what):
     data = _synth(tmp_path)
     paths = {"data": data, "scene": data / "scene_0000", "no_gt": tmp_path / "no_gt",
@@ -681,9 +683,13 @@ def test_error_branches_exit_one_with_one_error_line(tmp_path, capsys, argv, wha
         (["--noise-min", "5", "--noise-max", "1"], "noise"),
         (["--noise-min", "nan", "--noise-max", "nan"], "noise"),
         (["--noise-min", "0", "--noise-max", "inf"], "noise"),
-        (["--noise-min", "-1", "--noise-max", "1"], "noise"),
+        (["--noise-min", "-1", "--noise-max", "1"], "noise_sigma"),
+        # sample_spec draws in int64
+        (["--disp-max", "9223372036854775808"], "disparity range (1, 9223372036854775808)"),
+        (["--layers-max", "9223372036854775808"], "layer_count range (2, 9223372036854775808)"),
     ],
-    ids=["disparity", "layers", "noise", "noise-nan", "noise-inf", "noise-negative"],
+    ids=["disparity", "layers", "noise", "noise-nan", "noise-inf", "noise-negative",
+         "disparity-past-int64", "layers-past-int64"],
 )
 def test_synth_rejects_bad_range(tmp_path, capsys, flags, what):
     out = tmp_path / "data"
@@ -967,18 +973,20 @@ def test_installed_console_script(tmp_path):
     _assert_behaves_like_run(["multiscopic"], tmp_path)
 
 
-# run(argv) in a child process whose address space is capped at its size
-# after the imports plus 256 MiB, so an allocation that does not fit raises
-# MemoryError instead of succeeding on lazily mapped pages.
-_CAPPED_RUN = """\
+# the head of a child script that caps its address space at its size after
+# the imports plus 256 MiB, so an allocation that does not fit raises
+# MemoryError instead of succeeding on lazily mapped pages
+_CAP_MEMORY = """\
 import resource, sys
 from multiscopic.cli import run
 
 with open("/proc/self/status") as fh:
     vm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
 resource.setrlimit(resource.RLIMIT_AS, (vm + (256 << 20), resource.RLIM_INFINITY))
-sys.exit(run(sys.argv[1:]))
 """
+
+# run(argv) in a child process under that cap
+_CAPPED_RUN = _CAP_MEMORY + "sys.exit(run(sys.argv[1:]))\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
@@ -992,6 +1000,28 @@ def test_out_of_memory_exits_one_with_one_error_line(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (MemoryError(), 1, "error: out of memory\n"),
+    (MemoryError("no room"), 1, "error: out of memory: no room\n"),
+    (AssertionError("broken invariant"), 2, "internal error: broken invariant\n"),
+], ids=["memory", "memory-detail", "assertion"])
+def test_run_turns_memory_and_assertion_errors_into_exit_codes(tmp_path, monkeypatch, capsys,
+                                                               exc, code, err):
+    # the parser is built once, so patch a name the command calls
+    data = _synth(tmp_path)
+    capsys.readouterr()
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("multiscopic.cli.colorize_jet", fail)
+    out = tmp_path / "disp"
+    assert run(["disparity", "--in", str(data / "scene_0000"), "--rho", "1", "--d-max", "3",
+                "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

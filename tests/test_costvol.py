@@ -57,6 +57,8 @@ def test_cost_volume_container():
         CostVolume(np.zeros((2, 2, 2), dtype=np.float32), d_min=1, d_max=3)
     with pytest.raises(InputError):
         CostVolume(np.zeros((2, 2), dtype=np.float32), d_min=1, d_max=2)
+    with pytest.raises(InputError, match=r"d_min <= d_max, got \[3, 2\]"):
+        CostVolume(np.zeros((1, 2, 2), dtype=np.float32), d_min=3, d_max=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, -0.0], ids=["nan", "-inf", "-1", "-0"])

@@ -586,6 +586,29 @@ def test_recheck_weights_all_occluded_reduce_to_center_rule():
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("theta", [5e-324, 1e-320, 0.1, 8.000000001, 1e308])
+def test_pair_weights_match_the_oracle_at_fractional_intensities(theta):
+    # theta is compared in float64, never rounded to float32: equal pixels
+    # take lambda1 at a subnormal theta, a gap of exactly 8 takes lambda1 at
+    # 8.000000001, and 1e308 neither overflows nor warns.  With every pixel
+    # OCCLUDED, the recheck sees the center alone and gives the same weights
+    rng = np.random.default_rng(43)
+    p = GcParams(theta=theta)
+    views = (Direction.LEFT, Direction.RIGHT, Direction.TOP, Direction.BOTTOM)
+    for _ in range(20):
+        base = rng.integers(0, 3, (6, 7)) * 8.0
+        frac = rng.choice([0.0, 0.1, 0.25, 1 / 3], (6, 7))
+        center = Image((base + frac).astype(np.float32))
+        want = pair_weights_oracle(center.pixels, p.theta, p.lambda1, p.lambda2)
+        mset = MultiscopicSet(center, [(d, Image(rng.uniform(0, 255, (6, 7)).astype(np.float32)))
+                                       for d in views])
+        labels = np.full((6, 7), OCCLUDED, dtype=np.int64)
+        for got in (pair_weights(center, p), _recheck_weights(mset, labels, p)):
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                np.testing.assert_array_equal(g, w)
+
+
 def test_recheck_weights_are_float64_for_integer_lambdas():
     # integer lambdas from the Python API give the same float64 weights as
     # float ones, the dtype pair_weights always returns

@@ -182,6 +182,12 @@ def test_spec_validation():
         SceneLayer(-1, None)
     with pytest.raises(InputError):
         SceneLayer(1, (0, 0, 0, 4))
+    with pytest.raises(InputError, match="at least 2x2"):
+        SceneSpec(width=1, height=16, layers=[SceneLayer(1)])
+    with pytest.raises(InputError, match="noise sigma"):
+        SceneSpec(width=16, height=16, layers=[SceneLayer(1)], noise_sigma=-1.0)
+    with pytest.raises(InputError, match="cell size"):
+        SceneSpec(width=16, height=16, layers=[SceneLayer(1)], base_cell=0)
 
 
 # ------------------------------------------------------------------ dataset
@@ -209,12 +215,24 @@ def _small_ranges():
         ("noise_sigma", (-1.0, 1.0)),
         ("base_cell", (6, 4)),
         ("flat_patches", (1, 0)),
+        # rng.integers draws in int64
+        ("layer_count", (1, 2**63)),
+        ("disparity", (0, 2**63)),
+        ("base_cell", (4, 2**63)),
+        ("flat_patches", (0, 2**63)),
     ],
 )
 def test_dataset_ranges_validation(field, value):
-    # an inverted or non-finite range would otherwise reach numpy.random
+    # an inverted, non-finite or past-int64 range would otherwise reach
+    # numpy.random
     with pytest.raises(InputError, match=field.split("_")[0]):
         DatasetRanges(**{field: value})
+
+
+def test_dataset_ranges_take_int64_max():
+    ranges = DatasetRanges(disparity=(0, 2**63 - 1), flat_patches=(2**63 - 1, 2**63 - 1))
+    spec = sample_spec(ranges, np.random.default_rng(3))
+    assert spec.flat_patches == 2**63 - 1
 
 
 def test_sample_spec_within_ranges():
