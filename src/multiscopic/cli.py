@@ -230,6 +230,8 @@ def _cmd_gc(args) -> int:
 
 def _cmd_train(args) -> int:
     out = Path(args.out)
+    if not out.name:
+        raise InputError(f"{args.out or repr(args.out)}: names no file to write the weights to")
     log_path = out.with_suffix(".log")
     if log_path == out:
         raise InputError(f"{out}: the loss log would overwrite the weights; use another suffix")

@@ -10,8 +10,9 @@ The energy over a labeling f (integer disparity per pixel, or OCCLUDED) is
 with V(a, b) = min(|a - b|, d_cutoff), V(OCCLUDED, .) = 0, and w(p,q) =
 lambda1 (a break inside a smooth region costs more) where p and q differ by
 less than theta, in float64, in every view that sees both, else lambda2
-(_weights, after Kolmogorov & Zabih, ECCV 2002).  pair_weights takes the
-center alone, _recheck_weights each view sampled at the labels too.
+(_weights, after Kolmogorov & Zabih, ECCV 2002).  The energy, the moves and
+the occlusion pass take these weights, not the images: pair_weights gives
+them from the center alone, _recheck_weights from each view at the labels.
 Uniqueness is structural: a labeling assigns one label per center pixel.
 
 Each expansion move solves one min-cut exactly.  Convention: a pixel on the
@@ -81,9 +82,10 @@ class GcParams:
             raise InputError(f"seed must be >= 0, got {self.rng_seed}")
 
 
-def _weights(
-    views: list[tuple[np.ndarray, np.ndarray]], p: GcParams
-) -> tuple[np.ndarray, np.ndarray]:
+Weights = tuple[np.ndarray, np.ndarray]  # (w_h, w_v), as _weights gives them
+
+
+def _weights(views: list[tuple[np.ndarray, np.ndarray]], p: GcParams) -> Weights:
     """Float64 (w_h, w_v) over views, each a (float64 values, seen mask)
     pair: lambda1 for a pair whose values differ by less than theta in every
     view that sees both pixels, else lambda2.  w_h[y, x] weights the pair
@@ -96,20 +98,9 @@ def _weights(
     return tuple(out)
 
 
-def pair_weights(center: Image, p: GcParams) -> tuple[np.ndarray, np.ndarray]:
+def pair_weights(center: Image, p: GcParams) -> Weights:
     """_weights over the center image alone, which sees every pixel."""
     return _weights([(center.pixels.astype(np.float64), np.ones(center.pixels.shape, bool))], p)
-
-
-def _check_labels(labels: np.ndarray, vol: CostVolume) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (vol.height, vol.width):
-        raise InputError(f"labeling shape {labels.shape} does not match volume")
-    assigned = labels != OCCLUDED
-    bad = assigned & ((labels < vol.d_min) | (labels > vol.d_max))
-    if np.any(bad):
-        raise InputError("labeling contains disparities outside the volume range")
-    return labels.astype(np.int64)
 
 
 def _pair_smoothness(fa: np.ndarray, fb: np.ndarray, w: np.ndarray, cutoff: int) -> np.ndarray:
@@ -118,31 +109,44 @@ def _pair_smoothness(fa: np.ndarray, fb: np.ndarray, w: np.ndarray, cutoff: int)
     return np.where(both, w * v, 0.0)
 
 
-def _terms(labels: np.ndarray, c_gc: CostVolume, center: Image, p: GcParams, weights):
-    """The energy's terms at a labeling: the checked labels, the pair
-    weights (pair_weights when none are given), each pixel's float64 unary
-    term (its data cost, or K where OCCLUDED) and the smoothness terms s_h,
-    s_v of its horizontal and vertical pairs."""
-    labels = _check_labels(labels, c_gc)
-    w_h, w_v = pair_weights(center, p) if weights is None else weights
+def _terms(labels: np.ndarray, c_gc: CostVolume, weights: Weights, p: GcParams):
+    """The energy's terms at a labeling, for the energy, the moves and the
+    occlusion pass: the int64 labels, the float64 pair weights, each
+    pixel's float64 unary term (its data cost, or K where OCCLUDED) and the
+    smoothness terms s_h, s_v of its horizontal and vertical pairs.
+
+    The one check of their inputs: labels within the volume's grid and
+    range, and weights a pair (w_h, w_v) for that grid, finite and >= 0 as
+    the expansion graph's arcs need."""
+    labels = np.asarray(labels)
+    if labels.shape != (c_gc.height, c_gc.width):
+        raise InputError(f"labeling shape {labels.shape} does not match volume")
     assigned = labels != OCCLUDED
+    if np.any(assigned & ((labels < c_gc.d_min) | (labels > c_gc.d_max))):
+        raise InputError("labeling contains disparities outside the volume range")
+    labels = labels.astype(np.int64)
+    height, width = labels.shape
+    weights = tuple(np.asarray(w, dtype=np.float64) for w in weights)
+    want = ((height, width - 1), (height - 1, width))
+    if tuple(w.shape for w in weights) != want:
+        raise InputError(f"weights: shapes {[w.shape for w in weights]}, not the {list(want)} "
+                         f"of a {height}x{width} labeling")
+    # min() is nan where a weight is
+    if not all(w.size == 0 or (w.min() >= 0 and w.max() < np.inf) for w in weights):
+        raise InputError("weights must be finite and >= 0")
+    w_h, w_v = weights
     yy, xx = np.nonzero(assigned)
     unary = np.full(labels.shape, p.k_occlusion, dtype=np.float64)
     unary[assigned] = c_gc.costs[labels[assigned] - c_gc.d_min, yy, xx]
     s_h = _pair_smoothness(labels[:, :-1], labels[:, 1:], w_h, p.d_cutoff)
     s_v = _pair_smoothness(labels[:-1, :], labels[1:, :], w_v, p.d_cutoff)
-    return labels, (w_h, w_v), unary, s_h, s_v
+    return labels, weights, unary, s_h, s_v
 
 
-def gc_energy(
-    labels: np.ndarray,
-    c_gc: CostVolume,
-    center: Image,
-    p: GcParams,
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Total labeling energy (data + occlusion + smoothness), in float64."""
-    labels, _, unary, s_h, s_v = _terms(labels, c_gc, center, p, weights)
+def gc_energy(labels: np.ndarray, c_gc: CostVolume, weights: Weights, p: GcParams) -> float:
+    """Total labeling energy (data + occlusion + smoothness), in float64,
+    under the pair weights (w_h, w_v) of pair_weights or _recheck_weights."""
+    labels, _, unary, s_h, s_v = _terms(labels, c_gc, weights, p)
     assigned = labels != OCCLUDED
     data = float(unary[assigned].sum())
     occ = p.k_occlusion * float(np.count_nonzero(~assigned))
@@ -174,15 +178,15 @@ def expansion_move(
     labels: np.ndarray,
     alpha: int,
     c_gc: CostVolume,
-    center: Image,
+    weights: Weights,
     p: GcParams,
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
     reuse: MoveReuse | None = None,
 ) -> np.ndarray:
     """Optimal single expansion: each pixel keeps its label or takes alpha.
 
-    Returns a new labeling attaining the minimum energy over all 2^N
-    keep/switch assignments (exact via min-cut).
+    Returns a new labeling attaining the minimum energy, under the pair
+    weights (w_h, w_v), over all 2^N keep/switch assignments (exact via
+    min-cut).
 
     The graph has one node per pixel and no auxiliary nodes.  Each pair's
     table A = w*V(fp,fq), B = w*V(fp,alpha), C = w*V(alpha,fq), D = 0 is
@@ -201,7 +205,7 @@ def expansion_move(
     last solve of alpha in reuse left, and leaves its own there.  The move
     is the same as a fresh solve's.
     """
-    labels, (w_h, w_v), keep, s_h, s_v = _terms(labels, c_gc, center, p, weights)
+    labels, (w_h, w_v), keep, s_h, s_v = _terms(labels, c_gc, weights, p)
     if not c_gc.d_min <= alpha <= c_gc.d_max:
         raise InputError(f"alpha {alpha} outside volume range")
     height, width = labels.shape
@@ -238,18 +242,15 @@ def expansion_move(
 
 
 def occlusion_pass(
-    labels: np.ndarray,
-    c_gc: CostVolume,
-    center: Image,
-    p: GcParams,
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
+    labels: np.ndarray, c_gc: CostVolume, weights: Weights, p: GcParams
 ) -> tuple[np.ndarray, int]:
     """Greedy raster-order pass switching pixels to OCCLUDED.
 
-    A pixel flips when dropping its assignment strictly lowers the energy:
-    K - c_gc(p, f_p) - sum of its current smoothness terms < 0.  Neighbors
-    already flipped earlier in the scan are seen as OCCLUDED.  Returns the
-    new labeling and the number of flips.
+    A pixel flips when dropping its assignment strictly lowers the energy
+    under the pair weights (w_h, w_v): K - c_gc(p, f_p) - sum of its
+    current smoothness terms < 0.  Neighbors already flipped earlier in the
+    scan are seen as OCCLUDED.  Returns the new labeling and the number of
+    flips.
 
     A flip only drops terms >= 0 from its neighbors' sums, so a pixel that
     would not flip with all of its input neighbors still assigned never
@@ -257,7 +258,7 @@ def occlusion_pass(
     scalar order (left, right, up, down) so its floats are the scan's; the
     raster scan then visits only the pixels that pass it.
     """
-    labels, _, unary, s_h, s_v = _terms(labels, c_gc, center, p, weights)
+    labels, _, unary, s_h, s_v = _terms(labels, c_gc, weights, p)
     height, width = labels.shape
     out = labels.copy()
     all_smooth = np.zeros((height, width))
@@ -296,9 +297,7 @@ def upscale_image(img: Image, factor: int) -> Image:
     return Image(bilinear(img.pixels.astype(np.float64), ys, xs).astype(np.float32))
 
 
-def _recheck_weights(
-    mset: MultiscopicSet, labels: np.ndarray, p: GcParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _recheck_weights(mset: MultiscopicSet, labels: np.ndarray, p: GcParams) -> Weights:
     """_weights over the center, which sees every pixel, and each surrounding
     view sampled at the labels, which sees an assigned pixel whose match
     lies inside it."""
@@ -345,13 +344,12 @@ def multiscopic_gc(
     p = p or GcParams()
     bm = bm or BlockMatchParams()
     s = p.upscale
-    up_center = upscale_image(mset.center, s)
     up_set = MultiscopicSet(
-        up_center,
+        upscale_image(mset.center, s),
         [(direction, upscale_image(img, s)) for direction, img in mset.surround],
     )
     bm_up = BlockMatchParams(rho=bm.rho, d_min=bm.d_min * s, d_max=bm.d_max * s)
-    h, w = up_center.pixels.shape
+    h, w = up_set.center.pixels.shape
     check_size(f"d_max {bm.d_max}: the cost volume upscaled x{s}", (bm_up.num_disparities, h, w),
                np.float32)
     # each energy and move capacity sums data costs and at most the worst
@@ -369,10 +367,10 @@ def multiscopic_gc(
     init_vals = np.where(init.valid_mask, init.values, 0)
     labels = np.where(init.valid_mask, np.rint(init_vals), OCCLUDED).astype(np.int64)
 
-    weights = pair_weights(up_center, p)
-    energy = gc_energy(labels, c_gc, up_center, p, weights)
-    if energy_trace is not None:
-        energy_trace.append(energy)
+    trace = [] if energy_trace is None else energy_trace
+    weights = pair_weights(up_set.center, p)
+    energy = gc_energy(labels, c_gc, weights, p)
+    trace.append(energy)
 
     rng = np.random.default_rng(p.rng_seed)
     all_alphas = np.arange(bm_up.d_min, bm_up.d_max + 1)
@@ -383,11 +381,11 @@ def multiscopic_gc(
         changed = False
         for alpha in rng.permutation(all_alphas).tolist():
             if rejected_at.get(alpha) != version:
-                cand = expansion_move(labels, alpha, c_gc, up_center, p, weights, reuse)
+                cand = expansion_move(labels, alpha, c_gc, weights, p, reuse)
                 # energy is gc_energy(labels, weights): a move that switches
                 # no pixel cannot lower it
                 cand_energy = (energy if np.array_equal(cand, labels)
-                               else gc_energy(cand, c_gc, up_center, p, weights))
+                               else gc_energy(cand, c_gc, weights, p))
                 if cand_energy < energy - _IMPROVE_EPS:
                     labels = cand
                     energy = cand_energy
@@ -395,21 +393,19 @@ def multiscopic_gc(
                     version += 1
                 else:
                     rejected_at[alpha] = version
-            if energy_trace is not None:
-                energy_trace.append(energy)
-        labels, flips = occlusion_pass(labels, c_gc, up_center, p, weights)
+            trace.append(energy)
+        labels, flips = occlusion_pass(labels, c_gc, weights, p)
         if flips:
             changed = True
             version += 1
-            energy = gc_energy(labels, c_gc, up_center, p, weights)
-        if energy_trace is not None:
-            energy_trace.append(energy)
+            energy = gc_energy(labels, c_gc, weights, p)
+        trace.append(energy)
         if p.recheck_smoothness_weights:
             rechecked = _recheck_weights(up_set, labels, p)
             if not all(map(np.array_equal, rechecked, weights)):
                 weights = rechecked
                 version += 1
-                energy = gc_energy(labels, c_gc, up_center, p, weights)
+                energy = gc_energy(labels, c_gc, weights, p)
         if not changed:
             break
 

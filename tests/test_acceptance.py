@@ -218,8 +218,8 @@ def test_06_expansion_move_is_globally_optimal():
         center = Image(rng.integers(0, 256, size=(h, w)).astype(np.float32))
         alpha = int(rng.integers(vol.d_min, vol.d_max + 1))
         w_h, w_v = pair_weights(center, p)
-        out = expansion_move(labels, alpha, vol, center, p)
-        got = gc_energy(out, vol, center, p)
+        out = expansion_move(labels, alpha, vol, (w_h, w_v), p)
+        got = gc_energy(out, vol, (w_h, w_v), p)
         want = expansion_oracle(
             labels, alpha, costs, vol.d_min, p.k_occlusion, w_h, w_v, p.d_cutoff
         )

@@ -3,6 +3,7 @@ flag at a time, exits 0 or 1 with no traceback and no warning, and an exit
 1 prints one `error:` line naming the flag's field."""
 
 import json
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -140,3 +141,82 @@ def test_size_flags_exit_cleanly_under_a_memory_cap(inputs):
     assert len(results) == len(cases)
     problems = [_problem(case, code, err) for case, (code, _, err) in zip(cases, results)]
     assert [p for p in problems if p] == []
+
+
+# the path and string flags of each subcommand, and --config on all of them
+VIEW_FLAGS = ["--center", "--left", "--right", "--top", "--bottom"]
+PATH_FLAGS = {
+    "synth": ["--out"],
+    "cost": ["--in", *VIEW_FLAGS, "--out"],
+    "fuse": ["--volumes", "--out"],
+    "disparity": ["--in", *VIEW_FLAGS, "--out"],
+    "gc": ["--in", *VIEW_FLAGS, "--out"],
+    "train": ["--data", "--out"],
+    "infer": ["--in", *VIEW_FLAGS, "--weights", "--out"],
+    "eval": ["--pred", "--gt", "--out"],
+    "colorize": ["--in", "--out"],
+}
+SCENE = "data/scene_0000"
+GT = f"{SCENE}/gt.pfm"
+# relative only, and no system path: the suite may run as root
+PATH_VALUES = ["", ".", "file", "file/x", "missing/x", "dir", GT]
+
+
+@pytest.fixture(scope="module")
+def path_inputs(tmp_path_factory, inputs):
+    """The inputs fixture's scene, volumes and weights under relative
+    names, beside a text file and an empty directory."""
+    base = tmp_path_factory.mktemp("paths")
+    shutil.copytree(inputs["data"], base / "data")
+    shutil.copytree(inputs["root"] / "costs", base / "costs")
+    shutil.copy(inputs["root"] / "net.mfn", base / "net.mfn")
+    (base / "file").write_text("neither an image nor a flag\n")
+    (base / "dir").mkdir()
+    return base
+
+
+def _path_argv(command, flag, value):
+    """The command on relative inputs with small, quick settings, then
+    flag=value; the views come as --center/--left/... when one of those is
+    the flag under test, else as --in."""
+    small = ["--rho", "1", "--d-max", "3"]
+    views = ([f"{f}={SCENE}/{f[2:]}.pgm" for f in VIEW_FLAGS] if flag in VIEW_FLAGS
+             else ["--in", SCENE])
+    argv = {
+        "synth": ["--scenes", "1", "--width", "16", "--height", "12", "--disp-max", "3",
+                  "--out", "out"],
+        "cost": [*views, *small, "--out", "out"],
+        "fuse": ["--volumes", *(f"costs/cost_{d}.mcv" for d in ("left", "right", "top", "bottom")),
+                 "--out", "out/fused.mcv"],
+        "disparity": [*views, *small, "--out", "out"],
+        "gc": [*views, *small, "--upscale", "1", "--max-sweeps", "1", "--out", "out"],
+        "train": ["--data", "data", *small, "--epochs", "1", "--out", "out/net.mfn"],
+        "infer": [*views, *small, "--weights", "net.mfn", "--out", "out"],
+        "eval": ["--pred", GT, "--gt", GT, "--out", "out/table.txt"],
+        "colorize": ["--in", GT, "--out", "out/jet.ppm"],
+    }[command]
+    return [command, *argv, f"{flag}={value}"]
+
+
+def test_path_flags_exit_cleanly_in_process(path_inputs, tmp_path, monkeypatch, capsys):
+    # every case runs in its own copy of the inputs, since an output flag
+    # may name one of them
+    problems = []
+    cases = [(command, flag, value) for command, flags in PATH_FLAGS.items()
+             for flag in [*flags, "--config"] for value in PATH_VALUES]
+    for i, case in enumerate(cases):
+        shutil.copytree(path_inputs, tmp_path / f"case{i}")
+        monkeypatch.chdir(tmp_path / f"case{i}")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = run(_path_argv(*case))
+            except Exception as exc:  # a warning raised as an error, say
+                code = f"Traceback: {exc!r}"
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code not in (0, 1) or "Traceback" in err or (code == 1 and len(errors) != 1):
+            problems.append(f"{case}: exit {code}, {err!r}")
+    assert len(cases) == 336
+    assert problems == []

@@ -101,9 +101,9 @@ def test_energy_only_for_moves_that_switch_a_pixel(monkeypatch, seed, params, tr
         count["idle" if np.array_equal(cand, labels) else "expected"] += 1
         return cand
 
-    def counted_occlusion(labels, c_gc, center, p, weights):
+    def counted_occlusion(labels, c_gc, weights, p):
         weights_now[:] = weights
-        labels, flips = occlusion(labels, c_gc, center, p, weights)
+        labels, flips = occlusion(labels, c_gc, weights, p)
         count["expected"] += flips > 0
         return labels, flips
 

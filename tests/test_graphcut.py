@@ -46,39 +46,40 @@ def test_energy_hand_example_data_only():
     costs[0, 0, 0] = 3.0
     costs[0, 0, 1] = 4.0
     p = GcParams()
-    e = gc_energy(np.array([[1, 1]]), _vol(costs), _flat_center(1, 2), p)
+    e = gc_energy(np.array([[1, 1]]), _vol(costs), pair_weights(_flat_center(1, 2), p), p)
     assert e == 7.0
 
 
 def test_energy_occlusion_and_smoothness():
     costs = np.zeros((3, 1, 2), dtype=np.float32)
     p = GcParams(k_occlusion=10.0, lambda1=9.0, lambda2=3.0, theta=8.0, d_cutoff=5)
-    center = _flat_center(1, 2)  # identical pixels -> lambda1 weight
+    weights = pair_weights(_flat_center(1, 2), p)  # identical pixels -> lambda1 weight
     # labels 1 and 3: |1-3| = 2 < cutoff -> 9 * 2 = 18
-    assert gc_energy(np.array([[1, 3]]), _vol(costs), center, p) == 18.0
+    assert gc_energy(np.array([[1, 3]]), _vol(costs), weights, p) == 18.0
     # one occluded: no pair term, K charged once
-    assert gc_energy(np.array([[1, OCCLUDED]]), _vol(costs), center, p) == 10.0
+    assert gc_energy(np.array([[1, OCCLUDED]]), _vol(costs), weights, p) == 10.0
     # truncation: |1-3| with cutoff 1
     p2 = GcParams(d_cutoff=1)
-    assert gc_energy(np.array([[1, 3]]), _vol(costs), center, p2) == 9.0
+    assert gc_energy(np.array([[1, 3]]), _vol(costs), weights, p2) == 9.0
 
 
 def test_energy_weight_selection_by_intensity_step():
     costs = np.zeros((2, 1, 2), dtype=np.float32)
-    center = Image(np.array([[0.0, 100.0]], dtype=np.float32))  # step >= theta
     p = GcParams()
-    assert gc_energy(np.array([[1, 2]]), _vol(costs), center, p) == p.lambda2
-    smooth_center = Image(np.array([[0.0, 5.0]], dtype=np.float32))
-    assert gc_energy(np.array([[1, 2]]), _vol(costs), smooth_center, p) == p.lambda1
+    step = pair_weights(Image(np.array([[0.0, 100.0]], dtype=np.float32)), p)  # >= theta
+    assert gc_energy(np.array([[1, 2]]), _vol(costs), step, p) == p.lambda2
+    smooth = pair_weights(Image(np.array([[0.0, 5.0]], dtype=np.float32)), p)
+    assert gc_energy(np.array([[1, 2]]), _vol(costs), smooth, p) == p.lambda1
 
 
 def test_energy_validates_labels():
     costs = np.zeros((2, 2, 2), dtype=np.float32)
     p = GcParams()
+    weights = pair_weights(_flat_center(2, 2), p)
     with pytest.raises(InputError):
-        gc_energy(np.array([[1, 1]]), _vol(costs), _flat_center(2, 2), p)
+        gc_energy(np.array([[1, 1]]), _vol(costs), weights, p)
     with pytest.raises(InputError):
-        gc_energy(np.full((2, 2), 9), _vol(costs), _flat_center(2, 2), p)
+        gc_energy(np.full((2, 2), 9), _vol(costs), weights, p)
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["center-weights", "given-weights"])
@@ -103,7 +104,8 @@ def test_energy_matches_scalar_oracle(given):
             weights = (rng.uniform(0, 9, size=(h, w - 1)), rng.uniform(0, 9, size=(h - 1, w)))
         else:
             weights = pair_weights_oracle(center.pixels, p.theta, p.lambda1, p.lambda2)
-        got = gc_energy(labels, _vol(costs, d_min=2), center, p, weights if given else None)
+        used = weights if given else pair_weights(center, p)
+        got = gc_energy(labels, _vol(costs, d_min=2), used, p)
         want = energy_oracle(labels, costs, 2, p.k_occlusion, *weights, p.d_cutoff, OCCLUDED)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), trial
         n_occluded += int((labels == OCCLUDED).sum())
@@ -127,10 +129,55 @@ def test_gc_params_rejects_bad_energy_weights(params):
         GcParams(**params)
 
 
+@pytest.mark.parametrize("upscale", [0, 3, 8])
+def test_gc_params_rejects_an_upscale_other_than_1_2_or_4(upscale):
+    with pytest.raises(InputError, match=f"upscale must be 1, 2 or 4, got {upscale}"):
+        GcParams(upscale=upscale)
+
+
 def test_pair_weights_shapes():
     w_h, w_v = pair_weights(_flat_center(3, 4), GcParams())
     assert w_h.shape == (3, 3) and w_v.shape == (2, 4)
     assert (w_h == 9.0).all() and (w_v == 9.0).all()
+
+
+_STEPS = {
+    "energy": gc_energy,
+    "move": lambda labels, vol, weights, p: expansion_move(labels, 2, vol, weights, p),
+    "occlusion": occlusion_pass,
+}
+
+
+@pytest.mark.parametrize("step", sorted(_STEPS))
+@pytest.mark.parametrize("bad", ["scalars", "one-row", "swapped", "three", "nan", "inf",
+                                 "negative"])
+def test_steps_refuse_weights_that_do_not_fit_the_grid(step, bad):
+    # scalars or one-row arrays would broadcast over the whole grid, and a
+    # NaN, infinite or negative weight breaks the non-negative arcs of the
+    # expansion graph: each is refused by name before any term is computed
+    rng = np.random.default_rng(31)
+    vol = _vol(rng.uniform(0, 9, size=(3, 4, 5)))
+    labels = rng.integers(1, 4, size=(4, 5))
+    p = GcParams()
+    w_h, w_v = pair_weights(_flat_center(4, 5), p)
+    poked = w_v.copy()
+    poked[2, 3] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}.get(bad, 0.0)
+    weights = {"scalars": (9.0, 3.0), "one-row": (w_h[:1], w_v[:1]), "swapped": (w_v, w_h),
+               "three": (w_h, w_v, w_v)}.get(bad, (w_h, poked))
+    with pytest.raises(InputError, match="weights"):
+        _STEPS[step](labels, vol, weights, p)
+
+
+@pytest.mark.parametrize("step", sorted(_STEPS))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1)])
+def test_steps_take_the_empty_weights_of_a_grid_without_pairs(step, shape):
+    # a one-pixel-wide or one-pixel-high labeling has no pairs along that
+    # axis, so its weights there hold no element, as pair_weights gives them
+    vol = _vol(np.full((3, *shape), 20.0))
+    weights = (np.zeros((shape[0], shape[1] - 1)), np.zeros((shape[0] - 1, shape[1])))
+    _STEPS[step](np.full(shape, 1), vol, weights, GcParams())
+    for got, want in zip(pair_weights(_flat_center(*shape), GcParams()), weights):
+        assert got.shape == want.shape
 
 
 # ---------------------------------------------------------------- expansion
@@ -139,7 +186,8 @@ def test_pair_weights_shapes():
 def test_expansion_alpha_equals_labels_is_noop():
     costs = RNG.uniform(0, 5, size=(3, 3, 3)).astype(np.float32)
     labels = np.full((3, 3), 2)
-    out = expansion_move(labels, 2, _vol(costs), _flat_center(3, 3), GcParams())
+    p = GcParams()
+    out = expansion_move(labels, 2, _vol(costs), pair_weights(_flat_center(3, 3), p), p)
     np.testing.assert_array_equal(out, labels)
 
 
@@ -149,7 +197,7 @@ def test_expansion_no_smoothing_gives_pointwise_min():
     costs[2] = [[5.0, 1.0], [1.0, 5.0]]
     p = GcParams(lambda1=0.0, lambda2=0.0)
     labels = np.full((2, 2), 1)
-    out = expansion_move(labels, 3, _vol(costs), _flat_center(2, 2), p)
+    out = expansion_move(labels, 3, _vol(costs), pair_weights(_flat_center(2, 2), p), p)
     np.testing.assert_array_equal(out, [[1, 3], [3, 1]])
 
 
@@ -162,7 +210,7 @@ def test_expansion_smoothing_flips_weak_pixel():
     costs[2, 0, 1] = 0.0
     p = GcParams(lambda1=9.0, lambda2=9.0, theta=8.0)
     labels = np.array([[1, 1]])
-    out = expansion_move(labels, 3, _vol(costs), _flat_center(1, 2), p)
+    out = expansion_move(labels, 3, _vol(costs), pair_weights(_flat_center(1, 2), p), p)
     np.testing.assert_array_equal(out, [[3, 3]])
 
 
@@ -172,10 +220,10 @@ def test_expansion_from_occluded_labels():
     labels = np.array([[OCCLUDED, OCCLUDED]])
     p = GcParams(k_occlusion=10.0)
     # alpha=1 has zero data cost, beats K=10 per pixel
-    out = expansion_move(labels, 1, _vol(costs), _flat_center(1, 2), p)
+    out = expansion_move(labels, 1, _vol(costs), pair_weights(_flat_center(1, 2), p), p)
     np.testing.assert_array_equal(out, [[1, 1]])
     # alpha=2 costs 100 > K: stay occluded
-    out2 = expansion_move(labels, 2, _vol(costs), _flat_center(1, 2), p)
+    out2 = expansion_move(labels, 2, _vol(costs), pair_weights(_flat_center(1, 2), p), p)
     np.testing.assert_array_equal(out2, [[OCCLUDED, OCCLUDED]])
 
 
@@ -189,11 +237,11 @@ def test_expansion_never_increases_energy_random():
         vol = _vol(costs)
         labels = rng.integers(0, n_lab + 1, size=(h, w)) + vol.d_min - 1
         labels[labels < vol.d_min] = OCCLUDED
-        center = Image(rng.integers(0, 256, size=(h, w)).astype(np.float32))
+        weights = pair_weights(Image(rng.integers(0, 256, size=(h, w)).astype(np.float32)), p)
         alpha = int(rng.integers(vol.d_min, vol.d_max + 1))
-        before = gc_energy(labels, vol, center, p)
-        out = expansion_move(labels, alpha, vol, center, p)
-        after = gc_energy(out, vol, center, p)
+        before = gc_energy(labels, vol, weights, p)
+        out = expansion_move(labels, alpha, vol, weights, p)
+        after = gc_energy(out, vol, weights, p)
         assert after <= before + 1e-9
 
 
@@ -210,8 +258,8 @@ def test_expansion_is_globally_optimal_vs_enumeration():
         center = Image(rng.integers(0, 256, size=(h, w)).astype(np.float32))
         alpha = int(rng.integers(vol.d_min, vol.d_max + 1))
         w_h, w_v = pair_weights(center, p)
-        out = expansion_move(labels, alpha, vol, center, p)
-        got = gc_energy(out, vol, center, p)
+        out = expansion_move(labels, alpha, vol, (w_h, w_v), p)
+        got = gc_energy(out, vol, (w_h, w_v), p)
         want = expansion_oracle(
             labels, alpha, costs, vol.d_min, p.k_occlusion, w_h, w_v, p.d_cutoff
         )
@@ -220,18 +268,21 @@ def test_expansion_is_globally_optimal_vs_enumeration():
 
 def test_expansion_rejects_bad_alpha():
     costs = np.zeros((2, 2, 2), dtype=np.float32)
+    p = GcParams()
+    weights = pair_weights(_flat_center(2, 2), p)
     with pytest.raises(InputError):
-        expansion_move(np.full((2, 2), 1), 5, _vol(costs), _flat_center(2, 2), GcParams())
+        expansion_move(np.full((2, 2), 1), 5, _vol(costs), weights, p)
     with pytest.raises(InputError):
-        expansion_move(np.full((2, 2), 1), OCCLUDED, _vol(costs), _flat_center(2, 2), GcParams())
+        expansion_move(np.full((2, 2), 1), OCCLUDED, _vol(costs), weights, p)
 
 
 def test_expansion_rejects_reuse_of_another_grid():
     # a reuse record holds the arc layout of one grid shape, not of another
     # with the same pixel count
     costs = np.zeros((2, 2, 8), dtype=np.float32)
+    p = GcParams()
     with pytest.raises(InputError):
-        expansion_move(np.full((2, 8), 1), 2, _vol(costs), _flat_center(2, 8), GcParams(),
+        expansion_move(np.full((2, 8), 1), 2, _vol(costs), pair_weights(_flat_center(2, 8), p), p,
                        reuse=graphcut.MoveReuse(4, 4))
 
 
@@ -243,18 +294,19 @@ def test_occlusion_pass_flips_expensive_pixel():
     costs[0, 0, 1] = 50.0  # far above K=10
     p = GcParams()
     vol = _vol(costs)
-    center = _flat_center(1, 2)
+    weights = pair_weights(_flat_center(1, 2), p)
     labels = np.array([[1, 1]])
-    out, flips = occlusion_pass(labels, vol, center, p)
+    out, flips = occlusion_pass(labels, vol, weights, p)
     assert flips == 1
     np.testing.assert_array_equal(out, [[1, OCCLUDED]])
-    assert gc_energy(out, vol, center, p) < gc_energy(labels, vol, center, p)
+    assert gc_energy(out, vol, weights, p) < gc_energy(labels, vol, weights, p)
 
 
 def test_occlusion_pass_keeps_cheap_labels():
     costs = np.full((1, 2, 2), 1.0, dtype=np.float32)
     labels = np.full((2, 2), 1)
-    out, flips = occlusion_pass(labels, _vol(costs), _flat_center(2, 2), GcParams())
+    p = GcParams()
+    out, flips = occlusion_pass(labels, _vol(costs), pair_weights(_flat_center(2, 2), p), p)
     assert flips == 0
     np.testing.assert_array_equal(out, labels)
 
@@ -266,9 +318,9 @@ def test_occlusion_pass_never_increases_energy():
         costs = rng.uniform(0, 8, size=(3, 4, 4)).astype(np.float32)
         vol = _vol(costs)
         labels = rng.integers(1, 4, size=(4, 4))
-        center = Image(rng.integers(0, 256, size=(4, 4)).astype(np.float32))
-        out, _ = occlusion_pass(labels, vol, center, p)
-        assert gc_energy(out, vol, center, p) <= gc_energy(labels, vol, center, p) + 1e-9
+        weights = pair_weights(Image(rng.integers(0, 256, size=(4, 4)).astype(np.float32)), p)
+        out, _ = occlusion_pass(labels, vol, weights, p)
+        assert gc_energy(out, vol, weights, p) <= gc_energy(labels, vol, weights, p) + 1e-9
 
 
 def test_occlusion_pass_matches_full_scan_oracle():
@@ -294,7 +346,7 @@ def test_occlusion_pass_matches_full_scan_oracle():
         if trial % 2:
             weights = (rng.integers(0, 4, size=(h, w - 1)).astype(np.float64),
                        rng.integers(0, 4, size=(h - 1, w)).astype(np.float64))
-        out, flips = occlusion_pass(labels, vol, center, p, weights if trial % 2 else None)
+        out, flips = occlusion_pass(labels, vol, weights, p)
         want, want_flips = occlusion_oracle(
             labels, costs, 2, k, *weights, p.d_cutoff, _IMPROVE_EPS, OCCLUDED
         )
@@ -430,24 +482,24 @@ def test_multiscopic_gc_final_energy_beats_wta_init():
     assert trace[-1] <= trace[0] + 1e-9
 
 
-def _moves_with_none_skipped(labels, c_gc, center, p, weights):
+def _moves_with_none_skipped(labels, c_gc, weights, p):
     """(alpha, labels) of every move multiscopic_gc's fixed-weight sweeps
     would solve if no move were ever skipped."""
     keys = []
-    energy = gc_energy(labels, c_gc, center, p, weights)
+    energy = gc_energy(labels, c_gc, weights, p)
     rng = np.random.default_rng(p.rng_seed)
     for _ in range(p.max_sweeps):
         changed = False
         for alpha in rng.permutation(np.arange(c_gc.d_min, c_gc.d_max + 1)).tolist():
             keys.append((alpha, labels.tobytes()))
-            cand = expansion_move(labels, alpha, c_gc, center, p, weights)
-            cand_energy = gc_energy(cand, c_gc, center, p, weights)
+            cand = expansion_move(labels, alpha, c_gc, weights, p)
+            cand_energy = gc_energy(cand, c_gc, weights, p)
             if cand_energy < energy - _IMPROVE_EPS:
                 labels, energy, changed = cand, cand_energy, True
-        labels, flips = occlusion_pass(labels, c_gc, center, p, weights)
+        labels, flips = occlusion_pass(labels, c_gc, weights, p)
         if flips:
             changed = True
-            energy = gc_energy(labels, c_gc, center, p, weights)
+            energy = gc_energy(labels, c_gc, weights, p)
         if not changed:
             break
     return keys
@@ -459,9 +511,9 @@ def test_multiscopic_gc_skips_only_moves_already_rejected(monkeypatch):
     calls = []
     solve = graphcut.expansion_move
 
-    def spy(labels, alpha, c_gc, center, p, weights, reuse):
-        calls.append((alpha, labels.tobytes(), (labels, c_gc, center, p, weights)))
-        return solve(labels, alpha, c_gc, center, p, weights, reuse)
+    def spy(labels, alpha, c_gc, weights, p, reuse):
+        calls.append((alpha, labels.tobytes(), (labels, c_gc, weights, p)))
+        return solve(labels, alpha, c_gc, weights, p, reuse)
 
     monkeypatch.setattr(graphcut, "expansion_move", spy)
     spec = SceneSpec(16, 16, [SceneLayer(1), SceneLayer(3, (3, 4, 8, 7))], noise_sigma=4.0)
@@ -491,13 +543,13 @@ def test_multiscopic_gc_resumed_moves_equal_fresh_ones(monkeypatch, params):
     solve = graphcut.expansion_move
     resumed = 0
 
-    def spy(labels, alpha, c_gc, center, p, weights, reuse):
+    def spy(labels, alpha, c_gc, weights, p, reuse):
         nonlocal resumed
         resumes = alpha in reuse.states
-        out = solve(labels, alpha, c_gc, center, p, weights, reuse)
+        out = solve(labels, alpha, c_gc, weights, p, reuse)
         if resumes:
             resumed += 1
-            np.testing.assert_array_equal(out, solve(labels, alpha, c_gc, center, p, weights))
+            np.testing.assert_array_equal(out, solve(labels, alpha, c_gc, weights, p))
         return out
 
     monkeypatch.setattr(graphcut, "expansion_move", spy)

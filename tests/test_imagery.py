@@ -63,6 +63,34 @@ def test_color_image_validation():
         ColorImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(InputError):
         ColorImage(np.zeros((2, 2, 4), dtype=np.uint8))
+    # integer-valued channels of another dtype are stored as uint8
+    assert ColorImage(np.full((1, 1, 3), 7.0)).pixels.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: ColorImage(np.full((2, 2, 3), 256, dtype=np.int32)),
+         r"ColorImage channels must be integers in \[0, 255\]"),
+        (lambda path: ColorImage(np.full((2, 2, 3), -1.0)),
+         r"ColorImage channels must be integers in \[0, 255\]"),
+        (lambda path: ColorImage(np.full((2, 2, 3), 1.5)),
+         r"ColorImage channels must be integers in \[0, 255\]"),
+        (lambda path: DisparityMap(np.zeros((2, 2, 2))),
+         r"DisparityMap expects a non-empty 2-D array, got shape \(2, 2, 2\)"),
+        (lambda path: DisparityMap(np.zeros((0, 3))),
+         r"DisparityMap expects a non-empty 2-D array, got shape \(0, 3\)"),
+        (lambda path: write_image(path, DisparityMap(np.zeros((2, 2))), ascii_format=True),
+         "PFM has no ASCII variant"),
+        (lambda path: write_image(path, np.zeros((2, 2))), "cannot write object of type ndarray"),
+    ],
+    ids=["color-256", "color-negative", "color-fraction", "disparity-3d", "disparity-empty",
+         "ascii-pfm", "unknown-type"],
+)
+def test_containers_and_writer_name_what_they_refuse(make, message, tmp_path):
+    with pytest.raises(InputError, match=message):
+        make(tmp_path / "out.pfm")
+    assert not (tmp_path / "out.pfm").exists()
 
 
 def test_disparity_map_nonfinite_normalised_to_inf():

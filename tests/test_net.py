@@ -221,6 +221,33 @@ def test_upsample_nearest_shapes_and_adjoint():
     assert float((y * g).sum()) == pytest.approx(float((x * dx).sum()), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conv3d_forward(np.zeros((2, 3, 4, 4)), np.zeros((1, 3, 3, 3, 3)), None),
+         r"kernel \(1, 3, 3, 3, 3\) does not fit input \(2, 3, 4, 4\)"),
+        (lambda: conv3d_forward(np.zeros((1, 3, 4, 4)), np.zeros((1, 1, 3, 3, 1)), None),
+         r"kernel \(1, 1, 3, 3, 1\) does not fit input \(1, 3, 4, 4\)"),
+        (lambda: upsample_nearest_forward(np.zeros((1, 2, 2, 2)), (5, 4, 4)),
+         r"cannot upsample \(2, 2, 2\) to \(5, 4, 4\)"),
+        (lambda: upsample_nearest_forward(np.zeros((1, 2, 2, 2)), (2, 1, 2)),
+         r"cannot upsample \(2, 2, 2\) to \(2, 1, 2\)"),
+    ],
+    ids=["conv-channels", "conv-not-cubic", "upsample-past-2x", "upsample-shrinks"],
+)
+def test_layer_ops_name_shapes_that_do_not_fit(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("layer", [spec[0] for spec in LAYER_SPECS])
+def test_fusion_net_names_a_missing_layer(layer):
+    convs = dict(init_network(0).convs)
+    del convs[layer]
+    with pytest.raises(InputError, match=f"missing layer '{layer}'"):
+        FusionNet(convs)
+
+
 # ------------------------------------------------------------------ forward
 
 
